@@ -7,23 +7,11 @@
 //
 //	o2bench [-cpuprofile F] [-memprofile F] COMMAND [flags]
 //
-//	o2bench fig4a [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    Figure 4(a): uniform popularity
-//	o2bench fig4b [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    Figure 4(b): oscillating popularity
-//	o2bench fig2 [-dirs N] [-threads N] Figure 2: cache contents maps
-//	o2bench kv [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    KVService scenario: shard-placement
-//	                                    policies under Zipf load mixes
-//	o2bench web [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    WebService scenario: open-loop tail
-//	                                    latency under compaction interference
-//	o2bench soak [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    engine endurance: one million
-//	                                    direct-handoff requests per cell
-//	o2bench scale [-quick] [-seed N] [-workers N] [-repeats N] [-json]
-//	                                    big-machine sweep: 16-256 cores ×
-//	                                    service × policy on the NUMA family
+//	o2bench SWEEP [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
+//	                                    the sweeps fig4a and fig4b (Figure 4),
+//	                                    kv, web, soak and scale; see help
+//	o2bench fig2 [-dirs N] [-entries N] [-threads N] [-seed N]
+//	                                    Figure 2: cache contents maps
 //	o2bench trace [-quick] [-seed N] [-interval C] [-out FILE]
 //	                                    telemetry timeline of one open-loop
 //	                                    cell as Chrome trace-event JSON
@@ -31,27 +19,28 @@
 //	o2bench migration [-trials N]       §5 migration cost (≈2000 cycles)
 //	o2bench ablation -exp=NAME          clustering|replication|replacement|
 //	                                    migcost|hetero|paths|single|all
-//	o2bench all [-quick]                everything above
+//	o2bench all [-quick]                latency, migration, fig2, every sweep
+//	                                    but soak, and the ablations
 //
-// The fig4, kv, and web sweeps run on the o2.Sweep engine: -workers bounds the worker
+// All six sweeps run on the o2.Sweep engine: -workers bounds the worker
 // pool (default: all host CPUs), -repeats measures every grid cell that
-// many times with distinct derived seeds and reports mean±stddev, and
-// -json emits the machine-readable per-cell sweep results (schema pinned
-// by the golden test in this package) instead of the aligned table.
+// many times with distinct derived seeds and reports mean±stddev, -csv
+// prints the table as CSV, and -json the machine-readable per-cell sweep
+// results pinned by the golden tests in this package.
 //
 // The global -cpuprofile and -memprofile flags (before the command) write
 // pprof profiles covering the whole run; see DESIGN.md, "Profiling the
 // simulator".
 //
 // All other output goes to stdout as aligned text tables; simulation
-// progress is reported on stderr.
+// progress is reported on stderr. The exit status is 0 on success and
+// for -h, 2 for a usage error, and 1 for any other failure.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -101,36 +90,50 @@ func main() {
 		}
 		f.Close()
 	}
-	if err != nil {
+	code := exitCode(err)
+	if code != 0 {
 		fmt.Fprintf(os.Stderr, "o2bench: %v\n", err)
-		if errors.Is(err, errUnknownCommand) {
-			os.Exit(2) // usage errors keep the flag package's exit status
-		}
-		os.Exit(1)
 	}
+	os.Exit(code)
 }
 
-// errUnknownCommand marks a usage error, so main can exit 2 (matching
-// the global flag-parse path) after the profile bracket closes.
-var errUnknownCommand = errors.New("unknown command")
+// usageError marks a command-line mistake, for which main exits 2 as the
+// flag package does. run returns it rather than exiting, so main still
+// closes the profile bracket.
+type usageError struct{ error }
+
+// parseFlags parses a subcommand's flags. A parse failure comes back as a
+// usageError; -h and -help as flag.ErrHelp.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
+}
+
+// exitCode maps run's result to the process exit status.
+func exitCode(err error) int {
+	var ue usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &ue):
+		return 2
+	}
+	return 1
+}
 
 // run dispatches one subcommand; profiling brackets it in main.
 func run(cmd string, args []string) error {
+	for _, s := range scenarios {
+		if s.name == cmd {
+			return s.run(os.Stdout, args)
+		}
+	}
 	switch cmd {
-	case "fig4a":
-		return runFig4(args, true)
-	case "fig4b":
-		return runFig4(args, false)
 	case "fig2", "cachemap":
 		return runFig2(args)
-	case "kv":
-		return runKV(args)
-	case "web":
-		return runWeb(args)
-	case "soak":
-		return runSoak(args)
-	case "scale":
-		return runScale(args)
 	case "trace":
 		return runTrace(args)
 	case "latency":
@@ -145,10 +148,8 @@ func run(cmd string, args []string) error {
 		usage()
 		return nil
 	default:
-		// Return instead of exiting: main must still stop the CPU
-		// profile and write the heap profile after run comes back.
 		usage()
-		return fmt.Errorf("%w %q", errUnknownCommand, cmd)
+		return usageError{fmt.Errorf("unknown command %q", cmd)}
 	}
 }
 
@@ -157,346 +158,21 @@ func usage() {
 
   o2bench [-cpuprofile FILE] [-memprofile FILE] COMMAND [flags]
 
-  o2bench fig4a [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     Figure 4(a): uniform directory popularity
-  o2bench fig4b [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     Figure 4(b): oscillating popularity
-  o2bench fig2 [-dirs N] [-entries N] [-threads N] [-seed N]
+`)
+	for _, s := range scenarios {
+		fmt.Fprintf(os.Stderr, "  o2bench %s [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]\n%37s%s\n",
+			s.name, "", s.summary)
+	}
+	fmt.Fprint(os.Stderr, `  o2bench fig2 [-dirs N] [-entries N] [-threads N] [-seed N]
                                      Figure 2: cache-contents maps
-  o2bench kv [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     KVService scenario: placement policies on a sharded store
-  o2bench web [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     WebService scenario: open-loop request latency tails
-                                     under background compaction interference
-  o2bench soak [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     engine endurance: one million direct-handoff requests per cell
-  o2bench scale [-quick] [-seed N] [-workers N] [-repeats N] [-json|-csv]
-                                     big-machine sweep: 16-256 cores x service x policy,
-                                     per-core working sets, saturating NUMA bandwidth
   o2bench trace [-quick] [-seed N] [-interval C] [-out FILE]
-                                     telemetry timeline: one open-loop NUMA256 cell under
-                                     bandwidth-aware CoreTime, exported as Chrome trace-event
-                                     JSON for chrome://tracing / Perfetto
+                                     telemetry timeline of one open-loop NUMA256 cell under
+                                     bandwidth-aware CoreTime as Chrome trace-event JSON
   o2bench latency                    hardware latency table (§5)
   o2bench migration [-trials N]      migration cost microbenchmark (§5)
   o2bench ablation -exp=NAME         clustering|replication|replacement|migcost|hetero|paths|single|all
-  o2bench all [-quick]               run everything
+  o2bench all [-quick]               latency, migration, fig2, every sweep but soak, ablations
 `)
-}
-
-// outFormat selects how a sweep subcommand renders its results.
-type outFormat int
-
-const (
-	formatTable outFormat = iota
-	formatCSV
-	formatJSON
-)
-
-// parseFormat folds the -json/-csv flags into one format.
-func parseFormat(jsonOut, csv bool) (outFormat, error) {
-	switch {
-	case jsonOut && csv:
-		return formatTable, fmt.Errorf("-json and -csv are mutually exclusive")
-	case jsonOut:
-		return formatJSON, nil
-	case csv:
-		return formatCSV, nil
-	}
-	return formatTable, nil
-}
-
-func fig4Flags(args []string) (o2.Fig4Config, outFormat, error) {
-	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced sweep (fewer points, shorter windows)")
-	seed := fs.Uint64("seed", 1, "workload RNG seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
-	if err := fs.Parse(args); err != nil {
-		return o2.Fig4Config{}, formatTable, err
-	}
-	cfg := o2.DefaultFig4Config()
-	if *quick {
-		cfg = o2.QuickFig4Config()
-	}
-	cfg.Params.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Repeats = *repeats
-	cfg.Progress = os.Stderr
-	format, err := parseFormat(*jsonOut, *csv)
-	if err != nil {
-		return o2.Fig4Config{}, formatTable, err
-	}
-	return cfg, format, nil
-}
-
-// emitFig4 runs the Figure-4 sweep and renders it to w in the requested
-// format. Split from runFig4 so the golden test can pin the -json schema
-// on a reduced configuration.
-func emitFig4(w io.Writer, cfg o2.Fig4Config, uniform bool, format outFormat) error {
-	title := "Figure 4(b): file system results, oscillated directory popularity"
-	prepare := o2.Fig4bSweep
-	if uniform {
-		title = "Figure 4(a): file system results, uniform directory popularity"
-		prepare = o2.Fig4aSweep
-	}
-	cfg, sweep := prepare(cfg)
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	if format == formatJSON {
-		return res.WriteJSON(w)
-	}
-	rows, err := o2.Fig4Rows(cfg, res)
-	if err != nil {
-		return err
-	}
-	if format == formatCSV {
-		o2.WriteFig4CSV(w, rows)
-		return nil
-	}
-	o2.WriteFig4Table(w, title, rows)
-	return nil
-}
-
-// kvFlags parses the kv subcommand's flags.
-func kvFlags(args []string) (o2.KVConfig, outFormat, error) {
-	fs := flag.NewFlagSet("kv", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced sweep (Tiny8 machine, kilobyte-scale store)")
-	seed := fs.Uint64("seed", 1, "base RNG seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
-	if err := fs.Parse(args); err != nil {
-		return o2.KVConfig{}, formatTable, err
-	}
-	cfg := o2.DefaultKVConfig()
-	if *quick {
-		cfg = o2.QuickKVConfig()
-	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Repeats = *repeats
-	cfg.Progress = os.Stderr
-	format, err := parseFormat(*jsonOut, *csv)
-	if err != nil {
-		return o2.KVConfig{}, formatTable, err
-	}
-	return cfg, format, nil
-}
-
-// emitKV runs the KVService sweep and renders it to w. Split from runKV
-// so the golden test can pin the -json schema on a reduced configuration.
-func emitKV(w io.Writer, cfg o2.KVConfig, format outFormat) error {
-	cfg, sweep := o2.KVSweep(cfg)
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	switch format {
-	case formatJSON:
-		return res.WriteJSON(w)
-	case formatCSV:
-		o2.WriteKVCSV(w, res)
-		return nil
-	}
-	title := fmt.Sprintf("KVService: sharded key-value store on %s (%d shards × %d KB, %d keys)",
-		cfg.Machine.Name(), cfg.Spec.Shards, cfg.Spec.ShardBytes()/1024, cfg.Spec.Keys)
-	o2.WriteKVTable(w, title, res)
-	return nil
-}
-
-func runKV(args []string) error {
-	cfg, format, err := kvFlags(args)
-	if err != nil {
-		return err
-	}
-	return emitKV(os.Stdout, cfg, format)
-}
-
-// webFlags parses the web subcommand's flags.
-func webFlags(args []string) (o2.WebConfig, outFormat, error) {
-	fs := flag.NewFlagSet("web", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced sweep (Tiny8 machine, kilobyte-scale document tree)")
-	seed := fs.Uint64("seed", 1, "base RNG seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
-	if err := fs.Parse(args); err != nil {
-		return o2.WebConfig{}, formatTable, err
-	}
-	cfg := o2.DefaultWebConfig()
-	if *quick {
-		cfg = o2.QuickWebConfig()
-	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Repeats = *repeats
-	cfg.Progress = os.Stderr
-	format, err := parseFormat(*jsonOut, *csv)
-	if err != nil {
-		return o2.WebConfig{}, formatTable, err
-	}
-	return cfg, format, nil
-}
-
-// emitWeb runs the WebService sweep and renders it to w. Split from
-// runWeb so the golden test can pin the -json schema on a reduced
-// configuration.
-func emitWeb(w io.Writer, cfg o2.WebConfig, format outFormat) error {
-	cfg, sweep := o2.WebSweep(cfg)
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	switch format {
-	case formatJSON:
-		return res.WriteJSON(w)
-	case formatCSV:
-		o2.WriteWebCSV(w, res)
-		return nil
-	}
-	title := fmt.Sprintf("WebService: open-loop name resolution on %s (%d vhosts × %d files, %d KB of metadata)",
-		cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot, cfg.Spec.MetadataBytes()/1024)
-	o2.WriteWebTable(w, title, res)
-	return nil
-}
-
-func runWeb(args []string) error {
-	cfg, format, err := webFlags(args)
-	if err != nil {
-		return err
-	}
-	return emitWeb(os.Stdout, cfg, format)
-}
-
-// soakFlags parses the soak subcommand's flags.
-func soakFlags(args []string) (o2.WebConfig, outFormat, error) {
-	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced soak (Tiny8 machine, 50k requests per cell)")
-	seed := fs.Uint64("seed", 1, "base RNG seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
-	if err := fs.Parse(args); err != nil {
-		return o2.WebConfig{}, formatTable, err
-	}
-	cfg := o2.SoakWebConfig()
-	if *quick {
-		cfg = o2.QuickSoakWebConfig()
-	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Repeats = *repeats
-	cfg.Progress = os.Stderr
-	format, err := parseFormat(*jsonOut, *csv)
-	if err != nil {
-		return o2.WebConfig{}, formatTable, err
-	}
-	return cfg, format, nil
-}
-
-// emitSoak runs the million-request endurance sweep and renders it to w.
-// Split from runSoak so tests can pin the output on the quick
-// configuration.
-func emitSoak(w io.Writer, cfg o2.WebConfig, format outFormat) error {
-	cfg, sweep := o2.WebSweep(cfg)
-	sweep.Name = "soak"
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	switch format {
-	case formatJSON:
-		return res.WriteJSON(w)
-	case formatCSV:
-		o2.WriteWebCSV(w, res)
-		return nil
-	}
-	title := fmt.Sprintf("Soak: %d direct-handoff requests per cell on %s (%d vhosts × %d files)",
-		cfg.Load.Requests, cfg.Machine.Name(), cfg.Spec.DocRoots, cfg.Spec.FilesPerRoot)
-	o2.WriteWebTable(w, title, res)
-	return nil
-}
-
-func runSoak(args []string) error {
-	cfg, format, err := soakFlags(args)
-	if err != nil {
-		return err
-	}
-	return emitSoak(os.Stdout, cfg, format)
-}
-
-// scaleFlags parses the scale subcommand's flags.
-func scaleFlags(args []string) (o2.ScaleConfig, outFormat, error) {
-	fs := flag.NewFlagSet("scale", flag.ContinueOnError)
-	quick := fs.Bool("quick", false, "reduced sweep (16- and 64-core machines, shorter windows)")
-	seed := fs.Uint64("seed", 1, "base RNG seed")
-	csv := fs.Bool("csv", false, "emit CSV instead of an aligned table")
-	jsonOut := fs.Bool("json", false, "emit machine-readable per-cell sweep results")
-	workers := fs.Int("workers", 0, "parallel sweep workers (0 = all host CPUs)")
-	repeats := fs.Int("repeats", 1, "measurements per grid cell (mean/stddev reported)")
-	if err := fs.Parse(args); err != nil {
-		return o2.ScaleConfig{}, formatTable, err
-	}
-	cfg := o2.DefaultScaleConfig()
-	if *quick {
-		cfg = o2.QuickScaleConfig()
-	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Repeats = *repeats
-	cfg.Progress = os.Stderr
-	format, err := parseFormat(*jsonOut, *csv)
-	if err != nil {
-		return o2.ScaleConfig{}, formatTable, err
-	}
-	return cfg, format, nil
-}
-
-// emitScale runs the big-machine sweep and renders it to w. Split from
-// runScale so the golden test can pin the -json schema on a reduced
-// configuration.
-func emitScale(w io.Writer, cfg o2.ScaleConfig, format outFormat) error {
-	cfg, sweep := o2.ScaleSweep(cfg)
-	res, err := sweep.Run()
-	if err != nil {
-		return err
-	}
-	switch format {
-	case formatJSON:
-		return res.WriteJSON(w)
-	case formatCSV:
-		o2.WriteScaleCSV(w, res)
-		return nil
-	}
-	last := cfg.Machines[len(cfg.Machines)-1]
-	title := fmt.Sprintf("Scale: %d machines up to %s (%d cores), per-core working sets",
-		len(cfg.Machines), last.Name(), last.NumCores())
-	o2.WriteScaleTable(w, title, res)
-	return nil
-}
-
-func runScale(args []string) error {
-	cfg, format, err := scaleFlags(args)
-	if err != nil {
-		return err
-	}
-	return emitScale(os.Stdout, cfg, format)
-}
-
-func runFig4(args []string, uniform bool) error {
-	cfg, format, err := fig4Flags(args)
-	if err != nil {
-		return err
-	}
-	return emitFig4(os.Stdout, cfg, uniform, format)
 }
 
 func runFig2(args []string) error {
@@ -506,7 +182,7 @@ func runFig2(args []string) error {
 	fs.IntVar(&cfg.EntriesPerDir, "entries", cfg.EntriesPerDir, "entries per directory (32 bytes each)")
 	fs.IntVar(&cfg.Threads, "threads", cfg.Threads, "worker threads")
 	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "workload RNG seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	base, ct, err := o2.Fig2(cfg)
@@ -533,7 +209,7 @@ func runLatency() error {
 func runMigration(args []string) error {
 	fs := flag.NewFlagSet("migration", flag.ContinueOnError)
 	trials := fs.Int("trials", 128, "migration round trips to average")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	r, err := o2.MigrationCost(*trials)
@@ -547,7 +223,7 @@ func runMigration(args []string) error {
 func runAblation(args []string) error {
 	fs := flag.NewFlagSet("ablation", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "clustering|replication|replacement|migcost|hetero|paths|single|all")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	ran := false
@@ -564,7 +240,7 @@ func runAblation(args []string) error {
 		ran = true
 	}
 	if !ran {
-		return fmt.Errorf("unknown ablation %q", *exp)
+		return usageError{fmt.Errorf("unknown ablation %q", *exp)}
 	}
 	return nil
 }
@@ -582,25 +258,14 @@ func runAll(args []string) error {
 		return err
 	}
 	fmt.Println()
-	if err := runFig4(args, true); err != nil {
-		return err
+	for _, s := range scenarios {
+		if s.name == "soak" {
+			continue // an engine endurance run, not a result of the paper
+		}
+		if err := s.run(os.Stdout, args); err != nil {
+			return err
+		}
+		fmt.Println()
 	}
-	fmt.Println()
-	if err := runFig4(args, false); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runKV(args); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runWeb(args); err != nil {
-		return err
-	}
-	fmt.Println()
-	if err := runScale(args); err != nil {
-		return err
-	}
-	fmt.Println()
 	return runAblation([]string{"-exp=all"})
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -12,6 +13,162 @@ import (
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from current output")
+
+// A golden is one scenario's reduced, fully deterministic sweep and the
+// stem of its files in testdata/: STEM.json holds the -json output at the
+// configuration's two repeats, STEM_rN.txt and STEM_rN.csv the table and
+// CSV output at N repeats.
+type golden struct {
+	stem string
+	plan func() plan
+}
+
+// goldens has one entry per row of scenarios. The configurations pin
+// output schemas and determinism contracts, not the paper's numbers.
+var goldens = map[string]golden{
+	"fig4a": {"fig4_tiny", func() plan { return fig4aPlan(goldenFig4Config()) }},
+	"fig4b": {"fig4b_tiny", func() plan { return fig4bPlan(goldenFig4Config()) }},
+	"kv":    {"kv_tiny", func() plan { return kvPlan(goldenKVConfig()) }},
+	"web":   {"web_tiny", func() plan { return webPlan(goldenWebConfig()) }},
+	"soak":  {"soak_tiny", func() plan { return soakPlan(goldenSoakConfig()) }},
+	"scale": {"scale_tiny", func() plan { return scalePlan(goldenScaleConfig()) }},
+}
+
+// forEachScenario runs f as a subtest per row of scenarios, failing rows
+// that have no golden.
+func forEachScenario(t *testing.T, f func(t *testing.T, g golden)) {
+	for _, s := range scenarios {
+		t.Run(s.name, func(t *testing.T) {
+			g, ok := goldens[s.name]
+			if !ok {
+				t.Fatalf("scenario %q has no golden configuration", s.name)
+			}
+			f(t, g)
+		})
+	}
+}
+
+// runSweep runs p's sweep, failing the test on error.
+func runSweep(t *testing.T, p plan) *o2.SweepResult {
+	t.Helper()
+	res, err := p.sweep.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// jsonOutput returns what `o2bench NAME -json` prints for p.
+func jsonOutput(t *testing.T, p plan) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := runSweep(t, p).WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readGolden returns testdata/name, first rewriting it with got under
+// -update.
+func readGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (regenerate with -update): %v", err)
+	}
+	return want
+}
+
+// TestJSONGolden pins every sweep's -json output: field names, nesting,
+// metric keys, and the simulation's deterministic values. If the output
+// changes intentionally, regenerate with `go test ./cmd/o2bench -run
+// TestJSONGolden/NAME -update` and review the diff.
+func TestJSONGolden(t *testing.T) {
+	forEachScenario(t, func(t *testing.T, g golden) {
+		got := jsonOutput(t, g.plan())
+		if want := readGolden(t, g.stem+".json", got); !bytes.Equal(got, want) {
+			t.Errorf("-json output drifted from %s.json.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
+				g.stem, got, want)
+		}
+	})
+}
+
+// TestJSONWorkerInvariance reruns every golden sweep at -workers 1 and at
+// -workers NumCPU and checks both byte streams match the golden file
+// (written at -workers 4): results are a pure function of the grid, never
+// of the host.
+func TestJSONWorkerInvariance(t *testing.T) {
+	forEachScenario(t, func(t *testing.T, g golden) {
+		want, err := os.ReadFile(filepath.Join("testdata", g.stem+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			p := g.plan()
+			p.sweep.Workers = workers
+			if got := jsonOutput(t, p); !bytes.Equal(got, want) {
+				t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
+			}
+		}
+	})
+}
+
+// TestTableGolden pins every sweep's aligned table and -csv output byte
+// for byte, at one repeat and at two (which adds the ±stddev fields).
+// Regenerate with `go test ./cmd/o2bench -run TestTableGolden/NAME
+// -update` and review the diff.
+func TestTableGolden(t *testing.T) {
+	forEachScenario(t, func(t *testing.T, g golden) {
+		for _, repeats := range []int{1, 2} {
+			p := g.plan()
+			p.sweep.Repeats = repeats
+			res := runSweep(t, p)
+			for _, ext := range []string{"txt", "csv"} {
+				var buf bytes.Buffer
+				if err := p.render(&buf, p.title, res, ext == "csv"); err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("%s_r%d.%s", g.stem, repeats, ext)
+				if want := readGolden(t, name, buf.Bytes()); !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("output drifted from %s.\nGot:\n%s\nWant:\n%s", name, buf.Bytes(), want)
+				}
+			}
+		}
+	})
+}
+
+// TestExitCodes checks the exit status main derives from run: 0 for -h,
+// 2 for usage errors, on the sweep and the hand-written subcommands.
+// None of the cases runs a simulation.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"kv", "-h"}, 0},
+		{[]string{"scale", "-help"}, 0},
+		{[]string{"fig2", "-h"}, 0},
+		{[]string{"trace", "-h"}, 0},
+		{[]string{"kv", "-bogus"}, 2},
+		{[]string{"fig4a", "-json", "-csv"}, 2},
+		{[]string{"migration", "-trials", "x"}, 2},
+		{[]string{"ablation", "-exp", "bogus"}, 2},
+		{[]string{"bogus"}, 2},
+	} {
+		if got := exitCode(run(tc.args[0], tc.args[1:])); got != tc.want {
+			t.Errorf("o2bench %v exits %d, want %d", tc.args, got, tc.want)
+		}
+	}
+	if got := exitCode(fmt.Errorf("sweep failed")); got != 1 {
+		t.Errorf("a run failure exits %d, want 1", got)
+	}
+}
 
 // goldenFig4Config is a reduced, fully deterministic Figure-4 sweep: small
 // machine, two grid points, two repeats. It exists to pin the -json output
@@ -32,51 +189,6 @@ func goldenFig4Config() o2.Fig4Config {
 	}
 }
 
-// TestFig4JSONGolden pins the o2bench -json sweep schema: field names,
-// nesting, metric keys, and the simulation's deterministic values. If the
-// schema changes intentionally, regenerate with `go test ./cmd/o2bench
-// -run TestFig4JSONGolden -update` and review the diff.
-func TestFig4JSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitFig4(&buf, goldenFig4Config(), true, formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "fig4_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestFig4JSONWorkerInvariance reruns the golden sweep at -workers=1 and
-// checks the bytes match the golden file exactly: the JSON schema AND the
-// values must be independent of the worker count.
-func TestFig4JSONWorkerInvariance(t *testing.T) {
-	cfg := goldenFig4Config()
-	cfg.Workers = 1
-	var buf bytes.Buffer
-	if err := emitFig4(&buf, cfg, true, formatJSON); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "fig4_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestFig4JSONGolden generates it")
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Error("-workers=1 JSON differs from the golden (-workers=4) output")
-	}
-}
-
 // goldenKVConfig is a reduced, fully deterministic KVService sweep:
 // Tiny8 machine, a kilobyte-scale store, two mixes × two skews × all
 // four placement policies, two repeats. It exists to pin the
@@ -91,54 +203,6 @@ func goldenKVConfig() o2.KVConfig {
 	cfg.Workers = 4
 	cfg.Seed = 7
 	return cfg
-}
-
-// TestKVJSONGolden pins the o2bench kv -json sweep schema and values. If
-// the schema or the simulation changes intentionally, regenerate with
-// `go test ./cmd/o2bench -run TestKVJSONGolden -update` and review the
-// diff.
-func TestKVJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitKV(&buf, goldenKVConfig(), formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "kv_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench kv -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestKVJSONWorkerInvariance reruns the golden KV sweep at -workers 1
-// and at -workers NumCPU and checks both byte streams match the golden
-// file exactly: the KVService load generator's determinism contract —
-// results are a pure function of the grid, never of the host.
-func TestKVJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "kv_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestKVJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenKVConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitKV(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
 }
 
 // goldenWebConfig is a reduced, fully deterministic WebService sweep:
@@ -158,54 +222,6 @@ func goldenWebConfig() o2.WebConfig {
 	cfg.Workers = 4
 	cfg.Seed = 7
 	return cfg
-}
-
-// TestWebJSONGolden pins the o2bench web -json sweep schema and values.
-// If the schema or the simulation changes intentionally, regenerate with
-// `go test ./cmd/o2bench -run TestWebJSONGolden -update` and review the
-// diff.
-func TestWebJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitWeb(&buf, goldenWebConfig(), formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "web_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench web -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestWebJSONWorkerInvariance reruns the golden web sweep at -workers 1
-// and at -workers NumCPU and checks both byte streams match the golden
-// file exactly: the open-loop driver's determinism contract — results are
-// a pure function of the grid, never of the host.
-func TestWebJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "web_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestWebJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenWebConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitWeb(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
 }
 
 // goldenScaleConfig is a reduced, fully deterministic scale sweep that
@@ -232,134 +248,14 @@ func goldenScaleConfig() o2.ScaleConfig {
 	return cfg
 }
 
-// TestScaleJSONGolden pins the o2bench scale -json sweep schema and
-// values. If the schema or the simulation changes intentionally,
-// regenerate with `go test ./cmd/o2bench -run TestScaleJSONGolden
-// -update` and review the diff.
-func TestScaleJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := emitScale(&buf, goldenScaleConfig(), formatJSON); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := filepath.Join("testdata", "scale_tiny.json")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("o2bench scale -json output drifted from %s.\nGot:\n%s\nWant:\n%s\nIf intentional, rerun with -update and review.",
-			golden, buf.Bytes(), want)
-	}
-}
-
-// TestScaleJSONWorkerInvariance reruns the golden scale sweep at
-// -workers 1 and at -workers NumCPU and checks both byte streams match
-// the golden file exactly. This is the 256-core determinism gate: the
-// wide-directory fan-out, the bandwidth queueing, and the per-core
-// workload sizing must all be pure functions of the grid, never of the
-// host.
-func TestScaleJSONWorkerInvariance(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "scale_tiny.json"))
-	if err != nil {
-		t.Skip("golden file missing; TestScaleJSONGolden generates it")
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		cfg := goldenScaleConfig()
-		cfg.Workers = workers
-		var buf bytes.Buffer
-		if err := emitScale(&buf, cfg, formatJSON); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("-workers=%d JSON differs from the golden (-workers=4) output", workers)
-		}
-	}
-}
-
-// TestScaleTableSmoke checks the scale table and CSV renderers on the
-// same sweep path.
-func TestScaleTableSmoke(t *testing.T) {
-	cfg := goldenScaleConfig()
-	var table, csv bytes.Buffer
-	if err := emitScale(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"machine", "service", "policy", "kops/sec/core", "numa256", "dirlookup", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("scale table output missing %q:\n%s", want, table.String())
-		}
-	}
-	if err := emitScale(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("kops_per_sec,kops_stddev,per_core_kops,migrations")) {
-		t.Errorf("scale csv header drifted:\n%s", csv.String())
-	}
-}
-
-// TestWebTableSmoke checks the web table and CSV renderers on the same
-// sweep path.
-func TestWebTableSmoke(t *testing.T) {
-	cfg := goldenWebConfig()
-	var table, csv bytes.Buffer
-	if err := emitWeb(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"rps", "compaction", "policy", "p99 (cycles)", "coretime+repl", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("web table output missing %q:\n%s", want, table.String())
-		}
-	}
-	if err := emitWeb(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("offered_krps,achieved_krps,drop_rate,p50_cycles")) {
-		t.Errorf("web csv header drifted:\n%s", csv.String())
-	}
-}
-
-// TestKVTableSmoke checks the kv table and CSV renderers on the same
-// sweep path.
-func TestKVTableSmoke(t *testing.T) {
-	cfg := goldenKVConfig()
-	var table, csv bytes.Buffer
-	if err := emitKV(&table, cfg, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"policy", "kops/sec", "coretime+repl", "±"} {
-		if !bytes.Contains(table.Bytes(), []byte(want)) {
-			t.Errorf("kv table output missing %q:\n%s", want, table.String())
-		}
-	}
-	if err := emitKV(&csv, cfg, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("kops_per_sec,kops_stddev")) {
-		t.Errorf("kv csv header drifted:\n%s", csv.String())
-	}
-}
-
-// TestFig4TableSmoke checks the human-readable formats still render from
-// the same sweep path.
-func TestFig4TableSmoke(t *testing.T) {
-	cfg := goldenFig4Config()
-	var table, csv bytes.Buffer
-	if err := emitFig4(&table, cfg, true, formatTable); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(table.Bytes(), []byte("without-CT")) || !bytes.Contains(table.Bytes(), []byte("±")) {
-		t.Errorf("table output missing headers or repeat stddev:\n%s", table.String())
-	}
-	if err := emitFig4(&csv, cfg, true, formatCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(csv.Bytes(), []byte("stddev_with_ct")) {
-		t.Errorf("csv header drifted:\n%s", csv.String())
-	}
+// goldenSoakConfig is the quick soak at 2k requests per cell: the
+// direct-handoff drive on Tiny8, thread scheduler vs CoreTime, two
+// repeats.
+func goldenSoakConfig() o2.WebConfig {
+	cfg := o2.QuickSoakWebConfig()
+	cfg.Load.Requests = 2000
+	cfg.Repeats = 2
+	cfg.Workers = 4
+	cfg.Seed = 7
+	return cfg
 }

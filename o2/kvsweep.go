@@ -280,52 +280,3 @@ func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
 		Progress: cfg.Progress,
 	}
 }
-
-// WriteKVTable renders a completed KV sweep as an aligned text table, one
-// row per cell: the axis labels, throughput (±stddev when the sweep
-// carried repeats), per-op latency, on-chip cache-hit rate, and
-// migrations.
-func WriteKVTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-16s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%20s %12s %8s %11s\n", "kops/sec", "cycles/op", "hit%", "migrations")
-	} else {
-		fmt.Fprintf(w, "%12s %12s %8s %11s\n", "kops/sec", "cycles/op", "hit%", "migrations")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-16s ", l)
-		}
-		if withStats {
-			fmt.Fprintf(w, "%13.0f ±%5.0f %12.0f %8.1f %11.0f\n",
-				c.Mean("kops_per_sec"), c.Stddev("kops_per_sec"),
-				c.Mean("cycles_per_op"), 100*c.Mean("cache_hit_rate"), c.Mean("migrations"))
-		} else {
-			fmt.Fprintf(w, "%12.0f %12.0f %8.1f %11.0f\n",
-				c.Mean("kops_per_sec"),
-				c.Mean("cycles_per_op"), 100*c.Mean("cache_hit_rate"), c.Mean("migrations"))
-		}
-	}
-}
-
-// WriteKVCSV emits the same cells as CSV for plotting.
-func WriteKVCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "kops_per_sec,kops_stddev,cycles_per_op,cache_hit_rate,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		fmt.Fprintf(w, "%.1f,%.1f,%.1f,%.4f,%.0f\n",
-			c.Mean("kops_per_sec"), c.Stddev("kops_per_sec"),
-			c.Mean("cycles_per_op"), c.Mean("cache_hit_rate"), c.Mean("migrations"))
-	}
-}

@@ -257,50 +257,3 @@ func ScaleSpeedup(res *SweepResult, machine, service string) (float64, error) {
 	}
 	return ct.Mean(p) / b, nil
 }
-
-// WriteScaleTable renders a completed scale sweep as an aligned text
-// table, one row per cell: the axis labels, total throughput (±stddev
-// when the sweep carried repeats), per-core throughput, and migrations.
-func WriteScaleTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-12s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%20s %14s %11s\n", "kops/sec", "kops/sec/core", "migrations")
-	} else {
-		fmt.Fprintf(w, "%12s %14s %11s\n", "kops/sec", "kops/sec/core", "migrations")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-12s ", l)
-		}
-		p := scalePrimary(c)
-		if withStats {
-			fmt.Fprintf(w, "%13.0f ±%5.0f %14.1f %11.0f\n",
-				c.Mean(p), c.Stddev(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-		} else {
-			fmt.Fprintf(w, "%12.0f %14.1f %11.0f\n",
-				c.Mean(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-		}
-	}
-}
-
-// WriteScaleCSV emits the same cells as CSV for plotting.
-func WriteScaleCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "kops_per_sec,kops_stddev,per_core_kops,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		p := scalePrimary(c)
-		fmt.Fprintf(w, "%.1f,%.1f,%.2f,%.0f\n",
-			c.Mean(p), c.Stddev(p), c.Mean("per_core_kops"), c.Mean("migrations"))
-	}
-}

@@ -185,58 +185,3 @@ func WebSweep(cfg WebConfig) (WebConfig, Sweep) {
 		Progress: cfg.Progress,
 	}
 }
-
-// WriteWebTable renders a completed web sweep as an aligned text table,
-// one row per cell: the axis labels, offered vs achieved throughput, the
-// drop rate, and the latency quantiles (p99 ±stddev when the sweep
-// carried repeats).
-func WriteWebTable(w io.Writer, title string, res *SweepResult) {
-	fmt.Fprintf(w, "# %s\n", title)
-	withStats := res.Repeats > 1
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%-16s ", ax)
-	}
-	if withStats {
-		fmt.Fprintf(w, "%10s %10s %6s %10s %10s %18s %12s\n",
-			"off krps", "ach krps", "drop%", "p50", "p95", "p99 (cycles)", "p999")
-	} else {
-		fmt.Fprintf(w, "%10s %10s %6s %10s %10s %12s %12s\n",
-			"off krps", "ach krps", "drop%", "p50", "p95", "p99 (cycles)", "p999")
-	}
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%-16s ", l)
-		}
-		if withStats {
-			fmt.Fprintf(w, "%10.0f %10.0f %6.1f %10.0f %10.0f %11.0f ±%5.0f %12.0f\n",
-				c.Mean("offered_krps"), c.Mean("achieved_krps"), 100*c.Mean("drop_rate"),
-				c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-				c.Mean("p99_cycles"), c.Stddev("p99_cycles"), c.Mean("p999_cycles"))
-		} else {
-			fmt.Fprintf(w, "%10.0f %10.0f %6.1f %10.0f %10.0f %12.0f %12.0f\n",
-				c.Mean("offered_krps"), c.Mean("achieved_krps"), 100*c.Mean("drop_rate"),
-				c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-				c.Mean("p99_cycles"), c.Mean("p999_cycles"))
-		}
-	}
-}
-
-// WriteWebCSV emits the same cells as CSV for plotting.
-func WriteWebCSV(w io.Writer, res *SweepResult) {
-	for _, ax := range res.Axes {
-		fmt.Fprintf(w, "%s,", ax)
-	}
-	fmt.Fprintln(w, "offered_krps,achieved_krps,drop_rate,p50_cycles,p95_cycles,p99_cycles,p99_stddev,p999_cycles,mean_cycles,migrations")
-	for i := range res.Cells {
-		c := &res.Cells[i]
-		for _, l := range c.Labels {
-			fmt.Fprintf(w, "%s,", l)
-		}
-		fmt.Fprintf(w, "%.1f,%.1f,%.4f,%.0f,%.0f,%.0f,%.1f,%.0f,%.0f,%.0f\n",
-			c.Mean("offered_krps"), c.Mean("achieved_krps"), c.Mean("drop_rate"),
-			c.Mean("p50_cycles"), c.Mean("p95_cycles"),
-			c.Mean("p99_cycles"), c.Stddev("p99_cycles"), c.Mean("p999_cycles"),
-			c.Mean("mean_cycles"), c.Mean("migrations"))
-	}
-}
