@@ -167,7 +167,7 @@ func usage() {
                                      Figure 2: cache-contents maps
   o2bench trace [-quick] [-seed N] [-interval C] [-out FILE]
                                      telemetry timeline of one open-loop NUMA256 cell under
-                                     bandwidth-aware CoreTime as Chrome trace-event JSON
+                                     CoreTime as Chrome trace-event JSON
   o2bench latency                    hardware latency table (§5)
   o2bench migration [-trials N]      migration cost microbenchmark (§5)
   o2bench ablation -exp=NAME         clustering|replication|replacement|migcost|hetero|paths|single|all

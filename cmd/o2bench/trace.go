@@ -3,10 +3,8 @@ package main
 // The trace subcommand: run one telemetry-enabled open-loop WebService
 // cell and emit its Chrome trace-event timeline (load the file in
 // chrome://tracing or ui.perfetto.dev). The timeline bytes go to stdout
-// or -out; the human-readable run summary — notably how far below the
-// saturation threshold the peak smoothed socket bandwidth signal sat,
-// the ROADMAP MLP question — goes to stderr, so the emitted JSON stays
-// byte-comparable across runs and worker counts.
+// or -out; the human-readable run summary goes to stderr, so the emitted
+// JSON stays byte-comparable across runs and worker counts.
 
 import (
 	"flag"
@@ -52,8 +50,7 @@ func emitTrace(w, info io.Writer, cfg o2.TraceConfig) error {
 	fmt.Fprintf(info, "trace: %s %s, %d requests, %.1f offered / %.1f achieved krps, p99 %.0f cycles\n",
 		cfg.Machine.Name(), cfg.Scheduler, cfg.Load.Requests,
 		tr.Result.OfferedKRPS, tr.Result.AchievedKRPS, tr.Result.P99)
-	fmt.Fprintf(info, "trace: %d samples at %d-cycle interval; peak socket bw signal %.4f on socket %d at cycle %d (saturation threshold %.2f)\n",
-		tr.Samples, cfg.Interval, tr.PeakBWSignal, tr.PeakBWSocket, tr.PeakBWAt, tr.SaturationFrac)
+	fmt.Fprintf(info, "trace: %d samples at %d-cycle interval\n", tr.Samples, cfg.Interval)
 	return tr.Runtime.WriteTimeline(w)
 }
 

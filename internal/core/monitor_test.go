@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/perfctr"
 )
 
 func TestIneffectivePlacementWithdrawn(t *testing.T) {
@@ -162,5 +163,82 @@ func TestWindowOpsResetEachPass(t *testing.T) {
 	h.eng.Run(0)
 	if got := h.rt.info(obj.Base).windowOps; got != 0 {
 		t.Fatalf("windowOps = %d after idle monitor passes, want 0", got)
+	}
+}
+
+func TestUnusedCoreClassifiedIdleNotOverloaded(t *testing.T) {
+	// Regression: a core never acquired since reset accrues neither busy
+	// nor idle cycles (the exec layer starts the idle clock at first
+	// use), so a core that slept through a dead-time fast-forwarded gap
+	// read idleFrac == 0 and was classified overloaded — its placed
+	// objects were bounced off a core nobody was even running on.
+	opts := DefaultOptions()
+	opts.RebalanceInterval = 500_000
+	h := newHarness(t, opts)
+
+	a := h.alloc(t, "a", 32<<10)
+	b := h.alloc(t, "b", 32<<10)
+	oa, ob := h.rt.info(a.Base), h.rt.info(b.Base)
+	oa.missEWMA, ob.missEWMA = 100, 100
+	h.rt.assign(oa, 7) // two objects: placedCount > 1 arms the old bug
+	h.rt.assign(ob, 7)
+
+	// One thread computes briefly, then sleeps through several monitor
+	// windows. With no active thread the engine fast-forwards the gaps
+	// as dead time; core 7 is never touched at all.
+	h.sys.Go("sleeper", 0, func(th *exec.Thread) {
+		th.Compute(100_000)
+		th.IdleUntil(2_600_000)
+		oa.lastAccess = th.Now() // keep decay out of the picture
+		ob.lastAccess = th.Now()
+	})
+	h.eng.Run(0)
+
+	if h.eng.DeadTime() == 0 {
+		t.Fatal("test never exercised the dead-time fast-forward path")
+	}
+	if got := h.rt.Stats().ObjectsMoved; got != 0 {
+		t.Fatalf("monitor moved %d objects off a never-used core", got)
+	}
+	if core, placed := h.rt.Placement(a.Base); !placed || core != 7 {
+		t.Fatalf("object a at core=%d placed=%v, want core 7", core, placed)
+	}
+}
+
+func TestRebalanceZeroLengthWindowIsNoOp(t *testing.T) {
+	// Two monitor firings at the same cycle (an arena reset can
+	// re-register the tick on an engine whose clock has not advanced)
+	// must not classify against a zero-length window.
+	h := newHarness(t, noRebalance())
+	a := h.alloc(t, "a", 32<<10)
+	b := h.alloc(t, "b", 32<<10)
+	oa, ob := h.rt.info(a.Base), h.rt.info(b.Base)
+	oa.missEWMA, ob.missEWMA = 100, 100
+	h.rt.assign(oa, 0)
+	h.rt.assign(ob, 0)
+
+	h.rt.rebalance() // first pass: baseline only
+	h.rt.rebalance() // same cycle: zero-length window, must be a no-op
+	if got := h.rt.Stats(); got.ObjectsMoved != 0 || got.Rebalances != 0 {
+		t.Fatalf("zero-length window rebalanced: %+v", got)
+	}
+
+	// The same back-to-back shape through a full arena reset chain.
+	h.eng.Reset(1)
+	h.m.Reset()
+	h.sys.Reset()
+	h.rt.Reset()
+	h.rt.rebalance()
+	h.rt.rebalance()
+	if got := h.rt.Stats(); got.ObjectsMoved != 0 || got.Rebalances != 0 {
+		t.Fatalf("zero-length window after reset rebalanced: %+v", got)
+	}
+
+	// balanceLoad itself must refuse a zero elapsed denominator even
+	// with non-trivial deltas.
+	deltas := make([]perfctr.Counters, h.rt.sys.NumCores())
+	deltas[1].IdleCycles = 400_000
+	if moved := h.rt.balanceLoad(deltas, 0); moved != 0 {
+		t.Fatalf("balanceLoad moved %d over a zero-length window", moved)
 	}
 }

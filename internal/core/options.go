@@ -101,36 +101,6 @@ type Options struct {
 	// disables the check.
 	UnplaceDRAMFrac float64
 
-	// BWSpread enables bandwidth-aware spreading: each monitor pass rolls
-	// the per-core DRAMQueueCycles/LinkQueueCycles deltas up to socket
-	// totals, normalizes them per busy cycle, smooths with an EWMA, and
-	// migrates placed objects off sockets whose queueing signal exceeds
-	// BWSaturationFrac toward sockets below BWHeadroomFrac — preferring
-	// low-hop destinations when link queueing dominates (the congestion is
-	// in the interconnect, so distance is what's expensive) and the least
-	// saturated socket when DRAM queueing dominates.
-	BWSpread bool
-
-	// BWAdmission refuses new placements onto sockets whose smoothed
-	// queueing signal is above BWSaturationFrac: placing another hot
-	// object behind a saturated memory controller only deepens the queue.
-	// Offline PackAll ignores admission — it runs before any signal exists.
-	BWAdmission bool
-
-	// BWQueueEWMAAlpha smooths the per-socket queue signals
-	// (new = alpha*sample + (1-alpha)*old). The first window seeds the
-	// EWMA directly.
-	BWQueueEWMAAlpha float64
-
-	// BWSaturationFrac is the queueing threshold, in queue cycles per busy
-	// cycle (DRAM + link combined), above which a socket counts as
-	// saturated for both spread and admission.
-	BWSaturationFrac float64
-
-	// BWHeadroomFrac is the signal below which a socket counts as having
-	// headroom, i.e. is an eligible spread destination.
-	BWHeadroomFrac float64
-
 	// ReturnToOrigin makes ct_end migrate the thread back to the core it
 	// came from even for top-level operations. The paper says only that
 	// after ct_end "the thread is ready to run on another core"; the
@@ -161,9 +131,6 @@ func DefaultOptions() Options {
 		IdleFracLow:          0.02,
 		IdleFracHigh:         0.20,
 		UnplaceDRAMFrac:      0.20,
-		BWQueueEWMAAlpha:     0.5,
-		BWSaturationFrac:     0.25,
-		BWHeadroomFrac:       0.10,
 		Replacement:          ReplaceNone,
 		ReplicateMinOps:      64,
 		ReplicateReadRatio:   0.95,

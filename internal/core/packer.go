@@ -36,11 +36,9 @@ func (rt *Runtime) place(oi *objInfo) bool {
 	}
 
 	// Clustering: if a clustered sibling is already placed, try its core
-	// first so co-used objects share a cache (§6.2). Admission still
-	// applies: joining a sibling behind a saturated controller deepens
-	// exactly the queue admission exists to protect.
+	// first so co-used objects share a cache (§6.2).
 	if rt.opts.EnableClustering && oi.cluster != 0 {
-		if c, ok := rt.clusterCore(oi.cluster); ok && rt.admits(c) && rt.fits(oi, c) {
+		if c, ok := rt.clusterCore(oi.cluster); ok && rt.fits(oi, c) {
 			rt.assign(oi, c)
 			return true
 		}
@@ -62,19 +60,11 @@ func (rt *Runtime) place(oi *objInfo) bool {
 	return false
 }
 
-// coreWithSpace returns the admitting core with the most free budget that
-// can hold size bytes for oi's process, or ok=false when none fits. When
-// admission filters out every socket the object simply stays unplaced this
-// window (served from DRAM, retried once the queues drain) — the refusal
-// is counted separately from capacity Rejections.
+// coreWithSpace returns the core with the most free budget that can hold
+// size bytes for oi's process, or ok=false when none fits.
 func (rt *Runtime) coreWithSpace(oi *objInfo, size int64) (int, bool) {
 	best, bestFree := -1, int64(-1)
-	refused := false
 	for c := range rt.coreLoad {
-		if !rt.admits(c) {
-			refused = true
-			continue
-		}
 		if !rt.fits(oi, c) {
 			continue
 		}
@@ -84,9 +74,6 @@ func (rt *Runtime) coreWithSpace(oi *objInfo, size int64) (int, bool) {
 		}
 	}
 	if best < 0 {
-		if refused {
-			rt.stats.BWAdmitRefusals++
-		}
 		return 0, false
 	}
 	return best, true

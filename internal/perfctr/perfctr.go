@@ -112,8 +112,8 @@ func (c Counters) String() string {
 // counters are added into dst[groupOf[i]]. The caller supplies dst sized to
 // the group count (it is zeroed first) and a core→group table — typically
 // topology.Config.ChipTable, which makes this the per-socket rollup the
-// bandwidth-aware monitor classifies saturation with. dst is returned for
-// chaining; the call allocates nothing.
+// telemetry sampler records queueing with. dst is returned for chaining;
+// the call allocates nothing.
 func RollupGroups(dst, cores []Counters, groupOf []int) []Counters {
 	for i := range dst {
 		dst[i] = Counters{}

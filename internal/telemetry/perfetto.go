@@ -14,15 +14,14 @@ import (
 const (
 	pidCores   = 1 // per-core run spans, one tid per core
 	pidSched   = 2 // scheduler decision instants
-	pidSockets = 3 // per-socket bandwidth counters and saturation spans
+	pidSockets = 3 // per-socket bandwidth queueing counters
 	pidService = 4 // service-level counters (queue depth, dead time)
 )
 
 // ExportConfig parameterizes WriteTrace.
 type ExportConfig struct {
-	ClockHz        float64       // simulated clock, cycles per second
-	SaturationFrac float64       // CoreTime BWSaturationFrac; 0 disables saturation spans
-	Events         []trace.Event // scheduler trace to merge, in emission order
+	ClockHz float64       // simulated clock, cycles per second
+	Events  []trace.Event // scheduler trace to merge, in emission order
 }
 
 // jsonEvent is one Chrome trace-event record. Field order here is the
@@ -54,11 +53,6 @@ type bwArgs struct {
 	Link float64 `json:"link"`
 }
 
-type sigArgs struct {
-	Signal     float64 `json:"signal"`
-	Saturation float64 `json:"saturation"`
-}
-
 type countArgs struct {
 	Value float64 `json:"value"`
 }
@@ -81,7 +75,7 @@ func (s *Sampler) WriteTrace(w io.Writer, cfg ExportConfig) error {
 	}
 	us := 1e6 / hz // microseconds per cycle
 
-	evs := make([]jsonEvent, 0, 64+s.n*(s.ncores+2*s.nsocks+2)+len(cfg.Events))
+	evs := make([]jsonEvent, 0, 64+s.n*(s.ncores+s.nsocks+2)+len(cfg.Events))
 
 	// Process/thread metadata so the viewer labels tracks.
 	meta := func(pid, tid int, name, value string) {
@@ -101,10 +95,8 @@ func (s *Sampler) WriteTrace(w io.Writer, cfg ExportConfig) error {
 
 	// Counter names are per (pid, name); bake the socket index in.
 	bwName := make([]string, s.nsocks)
-	sigName := make([]string, s.nsocks)
 	for k := range bwName {
 		bwName[k] = fmt.Sprintf("bw queue s%d", k)
-		sigName[k] = fmt.Sprintf("bw signal s%d", k)
 	}
 
 	for i := 0; i < s.n; i++ {
@@ -128,18 +120,6 @@ func (s *Sampler) WriteTrace(w io.Writer, cfg ExportConfig) error {
 				Name: bwName[k], Ph: "C", Ts: end, Pid: pidSockets, Tid: k,
 				Args: bwArgs{Dram: float64(sm.DramQ[k]), Link: float64(sm.LinkQ[k])},
 			})
-			sig := sm.SigD[k] + sm.SigL[k]
-			evs = append(evs, jsonEvent{
-				Name: sigName[k], Ph: "C", Ts: end, Pid: pidSockets, Tid: k,
-				Args: countArgs{Value: sig},
-			})
-			if cfg.SaturationFrac > 0 && sig >= cfg.SaturationFrac {
-				evs = append(evs, jsonEvent{
-					Name: "bw-saturated", Ph: "X", Ts: start, Dur: winUS,
-					Pid: pidSockets, Tid: k,
-					Args: sigArgs{Signal: sig, Saturation: cfg.SaturationFrac},
-				})
-			}
 		}
 		evs = append(evs, jsonEvent{
 			Name: "queue depth", Ph: "C", Ts: end, Pid: pidService, Tid: 0,

@@ -19,14 +19,11 @@ type Sample struct {
 	Depth  int32      // bounded service-queue depth at sample time
 	DramQ  []uint64   // per-socket DRAM-controller queueing cycles this window
 	LinkQ  []uint64   // per-socket interconnect queueing cycles this window
-	SigD   []float64  // per-socket smoothed DRAM signal (CoreTime monitor EWMA)
-	SigL   []float64  // per-socket smoothed link signal
 }
 
 // SchedFill is the scheduler's contribution to a sample: it fills placed
-// with per-core placed-object counts and sigD/sigL with the monitor's
-// smoothed per-socket bandwidth signals. Nil when no such scheduler runs.
-type SchedFill func(placed []int32, sigD, sigL []float64)
+// with per-core placed-object counts. Nil when no such scheduler runs.
+type SchedFill func(placed []int32)
 
 // Sampler records periodic machine snapshots into fixed-capacity ring
 // buffers. All storage is allocated at construction; Probe writes one
@@ -53,8 +50,6 @@ type Sampler struct {
 	placed []int32
 	dramQ  []uint64
 	linkQ  []uint64
-	sigD   []float64
-	sigL   []float64
 
 	// probe scratch
 	prev     []perfctr.Counters // last snapshot, for deltas
@@ -90,8 +85,6 @@ func NewSampler(interval sim.Cycles, capacity, ncores, nsocks int) *Sampler {
 		placed:   make([]int32, capacity*ncores),
 		dramQ:    make([]uint64, capacity*nsocks),
 		linkQ:    make([]uint64, capacity*nsocks),
-		sigD:     make([]float64, capacity*nsocks),
-		sigL:     make([]float64, capacity*nsocks),
 		prev:     make([]perfctr.Counters, ncores),
 		snaps:    make([]perfctr.Counters, 0, ncores),
 		deltas:   make([]perfctr.Counters, ncores),
@@ -123,9 +116,8 @@ func (s *Sampler) TotalSamples() uint64 {
 // counter set, chipOf maps core→socket, dead is the engine's cumulative
 // dead time, queueLen reads a core's run-queue depth, depth is the
 // bounded service-queue depth (0 without a service), and sched fills the
-// scheduler's placement counts and smoothed bandwidth signals (nil
-// without CoreTime). The caller must flush in-progress idle accounting
-// first so IdleCycles is current.
+// scheduler's placement counts (nil without CoreTime). The caller must
+// flush in-progress idle accounting first so IdleCycles is current.
 //
 //o2:hotpath
 func (s *Sampler) Probe(now sim.Time, ctr *perfctr.Set, chipOf []int, dead sim.Cycles,
@@ -155,13 +147,11 @@ func (s *Sampler) Probe(now sim.Time, ctr *perfctr.Set, chipOf []int, dead sim.C
 	for k := 0; k < s.nsocks; k++ {
 		s.dramQ[sb+k] = s.socks[k].DRAMQueueCycles
 		s.linkQ[sb+k] = s.socks[k].LinkQueueCycles
-		s.sigD[sb+k] = 0
-		s.sigL[sb+k] = 0
 	}
 	s.dead[row] = float64(dead-s.prevDead) / fw
 	s.depth[row] = int32(depth)
 	if sched != nil {
-		sched(s.placed[cb:cb+s.ncores], s.sigD[sb:sb+s.nsocks], s.sigL[sb:sb+s.nsocks])
+		sched(s.placed[cb : cb+s.ncores])
 	}
 
 	copy(s.prev, s.snaps)
@@ -205,28 +195,7 @@ func (s *Sampler) SampleAt(i int) Sample {
 		Depth:  s.depth[r],
 		DramQ:  s.dramQ[sb : sb+s.nsocks],
 		LinkQ:  s.linkQ[sb : sb+s.nsocks],
-		SigD:   s.sigD[sb : sb+s.nsocks],
-		SigL:   s.sigL[sb : sb+s.nsocks],
 	}
-}
-
-// PeakSignal returns the highest smoothed per-socket bandwidth signal
-// (dram + link, the CoreTime monitor's saturation metric) across every
-// held sample, and the socket and simulated time where it occurred.
-// Zero when no sample carries a signal.
-func (s *Sampler) PeakSignal() (sig float64, sock int, at sim.Time) {
-	if s == nil {
-		return 0, 0, 0
-	}
-	for i := 0; i < s.n; i++ {
-		sm := s.SampleAt(i)
-		for k := 0; k < s.nsocks; k++ {
-			if v := sm.SigD[k] + sm.SigL[k]; v > sig {
-				sig, sock, at = v, k, sm.At
-			}
-		}
-	}
-	return sig, sock, at
 }
 
 // Reset discards every held sample and re-arms the delta baseline, so a

@@ -333,7 +333,6 @@ func TestKVPolicyOptionsSelectSchedulers(t *testing.T) {
 		KVHashAffinity:       Affinity,
 		KVCoreTime:           CoreTime,
 		KVCoreTimeReplicated: CoreTime,
-		CoreTimeBW:           CoreTime,
 	}
 	for p, sched := range want {
 		rt, err := New(append([]Option{WithTopology(Small4)}, p.Options()...)...)

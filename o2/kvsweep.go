@@ -41,11 +41,6 @@ const (
 //   - KVCoreTimeReplicated: CoreTime plus the §6.2 read-only replication
 //     extension, giving each chip its own copy of hot read-mostly shards
 //     instead of funneling every read through one core.
-//   - CoreTimeBW: CoreTime reading the bandwidth-stall counters — the
-//     monitor spreads placed objects off sockets whose memory controller
-//     or interconnect port is saturated and refuses new placements onto
-//     them. (No KV prefix: the bundle is not KV-specific; it rides any
-//     Policy axis, notably the scale sweep.)
 type KVPolicy int
 
 const (
@@ -53,12 +48,11 @@ const (
 	KVHashAffinity
 	KVCoreTime
 	KVCoreTimeReplicated
-	CoreTimeBW
 )
 
 // KVPolicies returns all placement policies in comparison order.
 func KVPolicies() []KVPolicy {
-	return []KVPolicy{KVThreadScheduler, KVHashAffinity, KVCoreTime, KVCoreTimeReplicated, CoreTimeBW}
+	return []KVPolicy{KVThreadScheduler, KVHashAffinity, KVCoreTime, KVCoreTimeReplicated}
 }
 
 // String returns the policy's report name, used as its axis label.
@@ -72,8 +66,6 @@ func (p KVPolicy) String() string {
 		return "coretime"
 	case KVCoreTimeReplicated:
 		return "coretime+repl"
-	case CoreTimeBW:
-		return "coretime-bw"
 	default:
 		return fmt.Sprintf("kvpolicy(%d)", int(p))
 	}
@@ -84,7 +76,7 @@ func (p KVPolicy) Scheduler() Scheduler {
 	switch p {
 	case KVHashAffinity:
 		return Affinity
-	case KVCoreTime, KVCoreTimeReplicated, CoreTimeBW:
+	case KVCoreTime, KVCoreTimeReplicated:
 		return CoreTime
 	default:
 		return Baseline
@@ -102,11 +94,6 @@ func (p KVPolicy) Options() []Option {
 			WithMissThreshold(kvMissThreshold),
 			WithReplication(true),
 			WithReplicationThreshold(kvReplicateMinOps, kvReplicateReadRatio),
-		)
-	case CoreTimeBW:
-		opts = append(opts,
-			WithMissThreshold(kvMissThreshold),
-			WithBandwidthAware(true),
 		)
 	}
 	return opts

@@ -136,34 +136,6 @@ func WithReplicationThreshold(minOps uint64, readRatio float64) Option {
 	}
 }
 
-// WithBandwidthAware enables CoreTime's bandwidth-aware placement: the
-// monitor rolls the DRAM/interconnect queueing counters up per socket,
-// spreads placed objects off saturated sockets toward sockets with
-// headroom, and refuses new placements behind saturated controllers. On
-// machines that never saturate (every preset before the NUMA family) the
-// signals stay zero and the policy behaves exactly like plain CoreTime.
-func WithBandwidthAware(on bool) Option {
-	return func(s *settings) {
-		s.ct.BWSpread = on
-		s.ct.BWAdmission = on
-	}
-}
-
-// WithBandwidthThresholds tunes the bandwidth-aware monitor: a socket is
-// saturated above saturation queue-cycles-per-busy-cycle and a spread
-// destination below headroom. Requires 0 < headroom ≤ saturation.
-func WithBandwidthThresholds(saturation, headroom float64) Option {
-	return func(s *settings) {
-		if headroom <= 0 || saturation < headroom {
-			s.errorf("o2: bandwidth thresholds need 0 < headroom (%v) <= saturation (%v)",
-				headroom, saturation)
-			return
-		}
-		s.ct.BWSaturationFrac = saturation
-		s.ct.BWHeadroomFrac = headroom
-	}
-}
-
 // WithReplacement selects the over-capacity placement policy (§6.2).
 func WithReplacement(r Replacement) Option {
 	return func(s *settings) {

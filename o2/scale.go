@@ -60,8 +60,7 @@ type ScaleConfig struct {
 	// both).
 	Services []ScaleService
 	// Policies are the placement policies compared (default thread
-	// scheduler vs CoreTime vs bandwidth-aware CoreTime — the paper's
-	// with/without comparison plus the saturation-signal variant).
+	// scheduler vs CoreTime — the paper's with/without comparison).
 	Policies []KVPolicy
 
 	// DirsPerCore and EntriesPerDir size the dirlookup service's tree:
@@ -94,13 +93,12 @@ type ScaleConfig struct {
 }
 
 // DefaultScaleConfig returns the full-scale configuration: 16 to 256
-// cores, both services, thread scheduler vs CoreTime vs bandwidth-aware
-// CoreTime.
+// cores, both services, thread scheduler vs CoreTime.
 func DefaultScaleConfig() ScaleConfig {
 	return ScaleConfig{
 		Machines:      []Topology{AMD16, NUMA64, NUMA128, NUMA256},
 		Services:      ScaleServices(),
-		Policies:      []KVPolicy{KVThreadScheduler, KVCoreTime, CoreTimeBW},
+		Policies:      []KVPolicy{KVThreadScheduler, KVCoreTime},
 		DirsPerCore:   14,
 		EntriesPerDir: 1000,
 		Params:        DefaultRunParams(),
@@ -197,7 +195,7 @@ func ScaleSweep(cfg ScaleConfig) (ScaleConfig, Sweep) {
 		cfg.Services = ScaleServices()
 	}
 	if len(cfg.Policies) == 0 {
-		cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime, CoreTimeBW}
+		cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}
 	}
 	if cfg.DirsPerCore == 0 {
 		cfg.DirsPerCore = 14

@@ -34,7 +34,7 @@ type runtimeTelemetry struct {
 
 	chipOf     []int               // core→socket table, cached once
 	queueLen   func(int) int       // per-core run-queue depth
-	sched      telemetry.SchedFill // CoreTime placement/signal fill; nil otherwise
+	sched      telemetry.SchedFill // CoreTime placement fill; nil otherwise
 	queueDepth func() int          // bounded service-queue depth; nil without a service
 }
 
@@ -126,8 +126,6 @@ func (rt *Runtime) registerMetrics() {
 		reg.Gauge("sched.placements", func() float64 { return float64(ct.Stats().Placements) })
 		reg.Gauge("sched.rebalances", func() float64 { return float64(ct.Stats().Rebalances) })
 		reg.Gauge("sched.objects_moved", func() float64 { return float64(ct.Stats().ObjectsMoved) })
-		reg.Gauge("sched.bw_spread_moves", func() float64 { return float64(ct.Stats().BWSpreadMoves) })
-		reg.Gauge("sched.bw_admit_refusals", func() float64 { return float64(ct.Stats().BWAdmitRefusals) })
 	}
 	if s := rt.tel.sampler; s != nil {
 		reg.Gauge("telemetry.samples", func() float64 { return float64(s.TotalSamples()) })
@@ -166,24 +164,9 @@ func (rt *Runtime) WriteTimeline(w io.Writer) error {
 	}
 	rt.mustEnsure()
 	return rt.tel.sampler.WriteTrace(w, telemetry.ExportConfig{
-		ClockHz:        rt.ClockHz(),
-		SaturationFrac: rt.saturationFrac(),
-		Events:         rt.tracer.Events(),
+		ClockHz: rt.ClockHz(),
+		Events:  rt.tracer.Events(),
 	})
-}
-
-// PeakBWSignal returns the highest smoothed per-socket bandwidth signal
-// (queue cycles per busy cycle, the CoreTime monitor's saturation
-// metric) any telemetry sample recorded, with the socket and simulated
-// time where it peaked. Returns ErrTelemetryDisabled without
-// WithTelemetry.
-func (rt *Runtime) PeakBWSignal() (sig float64, socket int, at Time, err error) {
-	if rt.set.telInterval <= 0 {
-		return 0, 0, 0, ErrTelemetryDisabled
-	}
-	rt.mustEnsure()
-	sig, socket, simAt := rt.tel.sampler.PeakSignal()
-	return sig, socket, Time(simAt), nil
 }
 
 // TelemetrySamples reports how many probes have fired (0 without
@@ -193,15 +176,6 @@ func (rt *Runtime) TelemetrySamples() int {
 		return 0
 	}
 	return int(rt.tel.sampler.TotalSamples())
-}
-
-// saturationFrac returns the BWSaturationFrac threshold when the
-// bandwidth-aware monitor is active, else 0 (no saturation spans).
-func (rt *Runtime) saturationFrac() float64 {
-	if rt.ct != nil && (rt.set.ct.BWSpread || rt.set.ct.BWAdmission) {
-		return rt.set.ct.BWSaturationFrac
-	}
-	return 0
 }
 
 // resetTelemetry rolls telemetry back to its post-build state for arena

@@ -98,9 +98,6 @@ func TestTraceDisabledSentinels(t *testing.T) {
 	if err := rt.WriteTimeline(&buf); !errors.Is(err, ErrTelemetryDisabled) {
 		t.Fatalf("WriteTimeline error = %v, want ErrTelemetryDisabled", err)
 	}
-	if _, _, _, err := rt.PeakBWSignal(); !errors.Is(err, ErrTelemetryDisabled) {
-		t.Fatalf("PeakBWSignal error = %v, want ErrTelemetryDisabled", err)
-	}
 }
 
 // TestTraceEnabledEmptyIsNotAnError covers the other path: tracing on

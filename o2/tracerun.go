@@ -2,11 +2,10 @@ package o2
 
 // This file is the `o2bench trace` entry point: one telemetry-enabled
 // open-loop WebService cell whose timeline Runtime.WriteTimeline renders.
-// The default configuration is the ROADMAP memory-level-parallelism
-// investigation made visible: a NUMA256 machine under bandwidth-aware
-// CoreTime, sampled every TraceConfig.Interval cycles, so the timeline
-// shows exactly how far below BWSaturationFrac the smoothed per-socket
-// queueing signal sits in today's one-miss-in-flight substrate.
+// The default configuration is a NUMA256 machine under CoreTime, offered
+// load just above saturation and sampled every TraceConfig.Interval
+// cycles, so the timeline shows per-core run spans, scheduler decisions
+// and each socket's DRAM and interconnect queueing as the run unfolds.
 
 import "fmt"
 
@@ -16,33 +15,30 @@ const traceSeedStratum = 0x7472
 
 // TraceConfig describes one telemetry-traced service run.
 type TraceConfig struct {
-	Machine        Topology
-	Scheduler      Scheduler
-	BandwidthAware bool // enable CoreTime's bandwidth-aware placement
-	Spec           WebSpec
-	Load           ServiceLoad
-	Interval       Cycles // telemetry sampling period
-	TraceCap       int    // scheduler-trace capacity; 0 = telemetry default
-	Seed           uint64
+	Machine   Topology
+	Scheduler Scheduler
+	Spec      WebSpec
+	Load      ServiceLoad
+	Interval  Cycles // telemetry sampling period
+	TraceCap  int    // scheduler-trace capacity; 0 = telemetry default
+	Seed      uint64
 }
 
 // DefaultTraceConfig is the full-size trace cell: an open-loop NUMA256
-// web service under bandwidth-aware CoreTime, sized so the working set
-// scales with the core count (8 docroots per core, like the scale sweep)
-// and sampled finely enough for a few hundred timeline windows.
+// web service under CoreTime, sized so the working set scales with the
+// core count (8 docroots per core, like the scale sweep) and sampled
+// finely enough for a few hundred timeline windows.
 func DefaultTraceConfig() TraceConfig {
 	cores := NUMA256.NumCores()
 	return TraceConfig{
-		Machine:        NUMA256,
-		Scheduler:      CoreTime,
-		BandwidthAware: true,
-		Spec:           WebSpec{DocRoots: 8 * cores, FilesPerRoot: 128},
+		Machine:   NUMA256,
+		Scheduler: CoreTime,
+		Spec:      WebSpec{DocRoots: 8 * cores, FilesPerRoot: 128},
 		Load: ServiceLoad{
 			// Offered just above the machine's measured saturation point
-			// (~6.9M achieved rps), so the memory system runs flat out —
-			// the load shape under which the bandwidth signal would fire
-			// if the substrate could generate enough memory-level
-			// parallelism (ROADMAP).
+			// (~6.9M achieved rps), so the memory system runs flat out
+			// and the socket queue counters show the most queueing the
+			// one-miss-in-flight substrate can produce.
 			Requests:      120_000,
 			RPS:           8_000_000,
 			Skew:          0.99,
@@ -62,10 +58,9 @@ func DefaultTraceConfig() TraceConfig {
 // producing every event family the timeline format carries.
 func QuickTraceConfig() TraceConfig {
 	return TraceConfig{
-		Machine:        Tiny8,
-		Scheduler:      CoreTime,
-		BandwidthAware: true,
-		Spec:           WebSpec{DocRoots: 24, FilesPerRoot: 128},
+		Machine:   Tiny8,
+		Scheduler: CoreTime,
+		Spec:      WebSpec{DocRoots: 24, FilesPerRoot: 128},
 		Load: ServiceLoad{
 			Requests:      2000,
 			RPS:           4_000_000,
@@ -83,11 +78,7 @@ type TraceRun struct {
 	Runtime *Runtime
 	Result  ServiceResult
 
-	Samples        int     // telemetry probes taken
-	PeakBWSignal   float64 // highest smoothed per-socket bandwidth signal seen
-	PeakBWSocket   int     // socket where it peaked
-	PeakBWAt       Time    // simulated time of the peak
-	SaturationFrac float64 // the monitor's saturation threshold, for comparison
+	Samples int // telemetry probes taken
 }
 
 // RunTrace builds and drives one telemetry-traced service cell.
@@ -100,7 +91,6 @@ func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 		WithScheduler(cfg.Scheduler),
 		WithSeed(cfg.Seed),
 		WithTelemetry(cfg.Interval),
-		WithBandwidthAware(cfg.BandwidthAware),
 	}
 	if cfg.TraceCap > 0 {
 		opts = append(opts, WithTrace(cfg.TraceCap))
@@ -121,17 +111,9 @@ func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	sig, sock, at, err := rt.PeakBWSignal()
-	if err != nil {
-		return nil, err
-	}
 	return &TraceRun{
-		Runtime:        rt,
-		Result:         res,
-		Samples:        rt.TelemetrySamples(),
-		PeakBWSignal:   sig,
-		PeakBWSocket:   sock,
-		PeakBWAt:       at,
-		SaturationFrac: rt.saturationFrac(),
+		Runtime: rt,
+		Result:  res,
+		Samples: rt.TelemetrySamples(),
 	}, nil
 }
