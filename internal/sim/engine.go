@@ -2,8 +2,9 @@
 // that underlies the simulated multicore machine.
 //
 // The engine is process-oriented: each simulated thread of control is a
-// *Proc backed by a goroutine, but exactly one goroutine runs at a time and
-// control transfers between the engine and procs are explicit. Events with
+// *Proc whose body runs on a carrier, a pooled iter.Pull coroutine. Exactly
+// one carrier or the engine runs at a time, and control transfers between
+// them are explicit coroutine switches. Events with
 // equal timestamps fire in the order they were scheduled. Together these
 // rules make runs bit-reproducible for a given seed, which the benchmark
 // harness relies on, and they mean simulated state (caches, directories,
@@ -114,6 +115,14 @@ type Engine struct {
 	running *Proc
 	stopped bool
 
+	// pool holds the carriers that run proc bodies, created on the first
+	// Spawn.
+	pool *carrierPool
+
+	// broken, when set, says why the engine refuses Spawn, Run and Reset:
+	// it was closed, or a proc body panicked mid-run.
+	broken string
+
 	// limit is the current Run's time limit (0 = none). Proc.Sleep's
 	// fast-forward path must not advance now past it, because Run would
 	// otherwise have parked the proc's wake event beyond the limit.
@@ -216,6 +225,10 @@ func (e *Engine) push(ev event) {
 // would pass limit (limit 0 means no limit). It returns the final simulated
 // time. Events at exactly t == limit still fire.
 func (e *Engine) Run(limit Time) Time {
+	e.mustBeUsable("Run")
+	// A proc panic leaves through here; leave running as it was found.
+	running := e.running
+	defer func() { e.running = running }()
 	e.stopped = false
 	e.limit = limit
 	for len(e.events) > 0 && !e.stopped {
@@ -249,7 +262,10 @@ func (e *Engine) Run(limit Time) Time {
 // remain queued; a subsequent Run resumes where the previous one left off.
 func (e *Engine) Stop() { e.stopped = true }
 
-// dispatch hands control to p until it yields back.
+// dispatch resumes p's carrier until p sleeps, parks or returns. A
+// returned proc is reaped and its carrier goes back to the free list.
+//
+//o2:hotpath
 func (e *Engine) dispatch(p *Proc) {
 	if p.state == procDead {
 		return
@@ -257,17 +273,20 @@ func (e *Engine) dispatch(p *Proc) {
 	prev := e.running
 	e.running = p
 	p.state = procRunning
-	p.resume <- struct{}{}
-	<-p.yield
+	c := p.c
+	c.next()
 	e.running = prev
-	if p.state == procDead && !p.reaped {
-		p.reaped = true
-		e.procs--
-		for _, w := range p.waiters {
-			w.Unpark()
-		}
-		p.waiters = nil
+	if p.state != procDead {
+		return
 	}
+	e.procs--
+	for _, w := range p.waiters {
+		w.Unpark()
+	}
+	p.waiters = nil
+	p.c, c.p, c.body = nil, nil, nil
+	//o2:allowalloc "amortized: capacity reaches the peak live-proc count"
+	e.pool.free = append(e.pool.free, c)
 }
 
 // Running returns the proc currently executing, or nil when the engine is
@@ -296,7 +315,7 @@ func (e *Engine) ActiveCount() int { return e.active }
 func (e *Engine) DeadTime() Cycles { return e.deadTime }
 
 // FastSleeps returns how many Proc.Sleep calls took the fast-forward path
-// (advanced time without scheduling an event or switching goroutines).
+// (advanced time without scheduling an event or switching carriers).
 func (e *Engine) FastSleeps() uint64 { return e.fastSleeps }
 
 // EventsDispatched returns how many events Run has popped. Tests use it to
@@ -310,6 +329,7 @@ func (e *Engine) EventsDispatched() uint64 { return e.dispatched }
 // the previous run left live procs or pending events: an arena reset is
 // only sound on a fully drained engine.
 func (e *Engine) Reset(seed uint64) {
+	e.mustBeUsable("Reset")
 	if e.running != nil || e.procs != 0 || len(e.events) != 0 {
 		panic(fmt.Sprintf("sim: Reset with %d live procs and %d pending events", e.procs, len(e.events)))
 	}
@@ -323,4 +343,44 @@ func (e *Engine) Reset(seed uint64) {
 	e.fastSleeps = 0
 	e.dispatched = 0
 	e.events = e.events[:0]
+}
+
+// Close stops every proc the engine still holds, live or pooled. A proc
+// parked in Sleep or Park unwinds there without running further; its
+// carrier recovers the unwinding, so proc bodies need no teardown code.
+// Live and Pending keep their values, and later Spawn, Run and Reset calls
+// panic. Close must be called outside Run; it is idempotent.
+//
+// A drained engine needs no Close: its carriers are stopped when the
+// engine is garbage collected. An engine left with live procs — a run cut
+// off by a time limit — must be closed, because those procs' stacks keep
+// it reachable.
+func (e *Engine) Close() {
+	if e.running != nil {
+		panic(fmt.Sprintf("sim: Close called from proc %q", e.running.name))
+	}
+	if e.broken == "" {
+		e.broken = "Close"
+	}
+	if e.pool == nil {
+		return
+	}
+	// Unwind each body as its own running proc, with fast-forward off: a
+	// deferred call that sleeps (o2's deferred Op.End may migrate) then
+	// unwinds too, instead of failing mustBeRunning or running on.
+	e.stopped = true
+	for _, c := range e.pool.all {
+		if c.p != nil {
+			e.running = c.p
+			c.stop()
+		}
+	}
+	e.running = nil
+	e.pool.close()
+}
+
+func (e *Engine) mustBeUsable(op string) {
+	if e.broken != "" {
+		panic(fmt.Sprintf("sim: %s after %s", op, e.broken))
+	}
 }

@@ -28,9 +28,10 @@ func BenchmarkEngineEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineProcSleep measures the proc context-switch path: one
-// simulated thread repeatedly advancing time, each advance a full
-// engine→proc→engine handoff.
+// BenchmarkEngineProcSleep measures a lone proc advancing time. With
+// nothing else pending every Sleep takes the fast-forward path, so this is
+// the cost of a Sleep that needs no switch; BenchmarkEngineProcSwitch
+// measures one that does.
 func BenchmarkEngineProcSleep(b *testing.B) {
 	eng := NewEngine()
 	b.ReportAllocs()
@@ -41,4 +42,25 @@ func BenchmarkEngineProcSleep(b *testing.B) {
 		}
 	})
 	eng.Run(0)
+}
+
+// BenchmarkEngineProcSwitch measures the proc switch: two procs sleep in
+// turn for equal times, so each Sleep finds the other proc's equal-time
+// wake event pending, cannot fast-forward, and costs a full
+// proc→engine→proc handoff through the event heap.
+func BenchmarkEngineProcSwitch(b *testing.B) {
+	eng := NewEngine()
+	body := func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			p.Sleep(1)
+		}
+	}
+	eng.Spawn("ping", body)
+	eng.Spawn("pong", body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(0)
+	if eng.FastSleeps() != 0 {
+		b.Fatalf("%d sleeps fast-forwarded; every sleep should switch", eng.FastSleeps())
+	}
 }

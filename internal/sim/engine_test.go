@@ -184,7 +184,7 @@ func TestSleepOverflowPanics(t *testing.T) {
 	var msg string
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(5)
-		// Recover on the proc goroutine itself and let the body return
+		// Recover inside the proc body itself and let the body return
 		// normally, so the engine reaps the proc and Run completes.
 		defer func() {
 			msg, _ = recover().(string)

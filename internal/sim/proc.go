@@ -1,6 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"iter"
+	"runtime"
+	"runtime/debug"
+)
 
 type procState uint8
 
@@ -28,20 +34,18 @@ func (s procState) String() string {
 	return "invalid"
 }
 
-// Proc is a simulated thread of control. Its body runs on a dedicated
-// goroutine, but the engine guarantees only one proc (or the engine itself)
-// executes at a time, so proc bodies may touch shared simulation state
-// freely.
+// Proc is a simulated thread of control. Its body runs on a carrier — a
+// coroutine the engine switches to and from explicitly — so exactly one
+// proc (or the engine itself) executes at a time, and proc bodies may touch
+// shared simulation state freely.
 //
 // Procs advance simulated time only through Sleep; pure computation inside
 // a proc body is instantaneous in simulated time.
 type Proc struct {
-	eng    *Engine
-	name   string
-	state  procState
-	resume chan struct{}
-	yield  chan struct{}
-	reaped bool
+	eng   *Engine
+	name  string
+	state procState
+	c     *carrier // the carrier running the body; nil once reaped
 
 	// waiters are procs parked in Join, woken when this proc finishes.
 	waiters []*Proc
@@ -50,21 +54,14 @@ type Proc struct {
 // Spawn creates a proc named name executing body and schedules it to start
 // at the current time. It must be called in engine context or before Run.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		state:  procNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+	e.mustBeUsable("Spawn")
+	if e.pool == nil {
+		e.pool = newCarrierPool(e)
 	}
+	c := e.pool.get()
+	p := &Proc{eng: e, name: name, state: procSleeping, c: c}
+	c.p, c.body = p, body
 	e.procs++
-	go func() {
-		<-p.resume
-		body(p)
-		p.state = procDead
-		p.yield <- struct{}{}
-	}()
-	p.state = procSleeping
 	e.push(event{at: e.now, p: p})
 	return p
 }
@@ -85,7 +82,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Fast-forward: when the wake time strictly precedes every pending event
 // (and no Stop or Run limit intervenes), the proc's wake event would be
 // popped next with nothing in between, so Sleep jumps Engine.now straight
-// to the wake time and returns without a heap push or goroutine switch.
+// to the wake time and returns without a heap push or carrier switch.
 // Strictness preserves the (at, seq) contract: an equal-time pending event
 // carries a smaller seq and must fire first, so it forces the slow path.
 //
@@ -149,9 +146,15 @@ func sleepOverflow(d Cycles, now Time) {
 	panic(fmt.Sprintf("sim: Sleep(%d) overflows simulated time (now=%d)", d, now))
 }
 
+// switchToEngine returns control to dispatch and resumes when the engine
+// dispatches p again. When the engine is closed instead, yield reports
+// false and the body unwinds to its carrier's root.
+//
+//o2:hotpath
 func (p *Proc) switchToEngine() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.c.yield(struct{}{}) {
+		panic(errCarrierStopped)
+	}
 }
 
 func (p *Proc) mustBeRunning(op string) {
@@ -196,4 +199,112 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 	wg.waiter = p
 	p.Park()
+}
+
+// A carrier is one iter.Pull coroutine that runs proc bodies back to back.
+// dispatch resumes it with next; Sleep and Park hand control back with
+// yield. When a body returns, the carrier yields once more and waits:
+// dispatch reaps the proc and frees the carrier, and the next Spawn — in
+// the same run or after Reset — hands it a new body. A steady-state spawn
+// therefore allocates only the Proc; starting a carrier costs a dozen
+// allocations, for the coroutine and the state and closures iter.Pull
+// shares between next, stop and yield.
+type carrier struct {
+	p     *Proc // the proc being run; nil while free
+	body  func(*Proc)
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// errCarrierStopped unwinds a proc body whose carrier was stopped: Sleep
+// and Park panic with it when yield reports false, and the carrier's root
+// recovers it, so proc bodies need no teardown code of their own.
+var errCarrierStopped = errors.New("sim: carrier stopped")
+
+// loop is the carrier's coroutine body.
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() && yield(struct{}{}) {
+	}
+}
+
+// run executes the current body. It reports false when the carrier was
+// stopped mid-body. A panic, or runtime.Goexit, leaves the engine unusable;
+// a panic continues as a *ProcPanic, which iter.Pull carries out of next to
+// Run's caller.
+func (c *carrier) run() (finished bool) {
+	p := c.p
+	defer func() {
+		if finished {
+			return
+		}
+		switch r := recover(); r {
+		case errCarrierStopped:
+		case nil: // runtime.Goexit, for example t.FailNow in a test body
+			p.eng.broken = fmt.Sprintf("proc %q exited", p.name)
+		default:
+			p.eng.broken = fmt.Sprintf("proc %q panicked", p.name)
+			panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	c.body(p)
+	p.state = procDead
+	return true
+}
+
+// ProcPanic is the value Run panics with when a proc body panics. The
+// panic leaves the other live procs suspended mid-body, so the engine
+// refuses further Spawn, Run and Reset calls; Close stops those procs.
+type ProcPanic struct {
+	Proc  string // the panicking proc's name
+	Value any    // what the body panicked with
+	Stack []byte // the proc's stack at the panic
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked: %v\n\nproc stack:\n%s", pp.Proc, pp.Value, pp.Stack)
+}
+
+// Unwrap returns the panic value when it is an error.
+func (pp *ProcPanic) Unwrap() error {
+	err, _ := pp.Value.(error)
+	return err
+}
+
+// carrierPool holds an engine's carriers. It is an object of its own so
+// that free carriers, parked between bodies, hold no pointer back to the
+// engine: a drained engine stays collectable, and a cleanup registered on
+// it stops the pool's coroutines when it is dropped.
+type carrierPool struct {
+	all  []*carrier
+	free []*carrier
+}
+
+func newCarrierPool(e *Engine) *carrierPool {
+	cp := new(carrierPool)
+	runtime.AddCleanup(e, (*carrierPool).close, cp)
+	return cp
+}
+
+// get returns a free carrier, or starts a new one.
+func (cp *carrierPool) get() *carrier {
+	if n := len(cp.free); n > 0 {
+		c := cp.free[n-1]
+		cp.free[n-1] = nil
+		cp.free = cp.free[:n-1]
+		return c
+	}
+	c := new(carrier)
+	c.next, c.stop = iter.Pull(c.loop)
+	cp.all = append(cp.all, c)
+	return c
+}
+
+// close stops every carrier. A carrier parked mid-body unwinds it.
+func (cp *carrierPool) close() {
+	for _, c := range cp.all {
+		c.stop()
+	}
+	cp.all, cp.free = nil, nil
 }

@@ -2,7 +2,9 @@ package o2
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // webTestSpec is the Tiny8-scale tree the tests resolve against: 24
@@ -201,6 +203,42 @@ func TestWebTimeLimitInFlightAccounting(t *testing.T) {
 	if fres.Completed+fres.Dropped != fres.Requests {
 		t.Errorf("untruncated accounting leak: %d + %d != %d",
 			fres.Completed, fres.Dropped, fres.Requests)
+	}
+}
+
+// TestRuntimesLeakNoGoroutines checks proc teardown: a run truncated by
+// a time limit stops the threads it cut off, and a drained runtime that
+// is simply dropped has its pooled procs stopped once it is collected.
+// Either way the goroutine count returns to where it started.
+func TestRuntimesLeakNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	truncated := ServiceLoad{
+		Requests:  2000,
+		RPS:       1_000_000,
+		Skew:      0.99,
+		Seed:      42,
+		TimeLimit: 1_500_000,
+	}
+	drained := truncated
+	drained.TimeLimit = 0
+	for i := 0; i < 5; i++ {
+		if res := runWebPolicy(t, KVThreadScheduler, webTestSpec(), truncated); res.InFlight == 0 {
+			t.Fatal("the time limit did not cut the run off")
+		}
+		if res := runWebPolicy(t, KVCoreTime, webTestSpec(), drained); res.InFlight != 0 {
+			t.Fatalf("drained run left %d requests in flight", res.InFlight)
+		}
+	}
+	// Cleanups of dropped runtimes run after a collection finds them, on
+	// the runtime's cleanup goroutine; give them a moment.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(10 * time.Second); n > base && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > base {
+		t.Errorf("%d goroutines after five truncated and five dropped runs, baseline %d", n, base)
 	}
 }
 

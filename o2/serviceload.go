@@ -117,7 +117,8 @@ type ServiceLoad struct {
 	// TimeLimit, when non-zero, truncates the run after that many cycles
 	// of simulated time: requests still queued or being served at the
 	// limit are reported as InFlight, not Completed. The runtime cannot
-	// be reused after a truncated run (its threads never finish).
+	// be reused after a truncated run: Run stops the threads the limit
+	// cut off, and using the runtime again panics.
 	TimeLimit Cycles
 	// DirectHandoff selects the parked-worker drive: idle workers block
 	// on a FIFO wait list and each arrival wakes one, instead of workers
@@ -475,6 +476,12 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	}
 	if load.TimeLimit > 0 {
 		rt.RunUntil(start + load.TimeLimit)
+		if rt.eng.Live() > 0 {
+			// The limit cut threads off mid-body. Stop them: a parked
+			// thread's stack keeps the runtime reachable, so they would
+			// otherwise outlive it.
+			rt.eng.Close()
+		}
 	} else {
 		rt.Run()
 	}
