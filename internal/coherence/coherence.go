@@ -38,8 +38,8 @@
 // sentinel (a word-0-only marker cannot work when a line's only holder is
 // node ≥ 64), and the fan-out paths iterate set words with
 // popcount/trailing-zero scans. Callers on wide directories use the
-// *Words APIs (CopyHolderWords, AcquireExclusiveWords) with caller-owned
-// scratch so the hot paths stay allocation-free at 256 cores.
+// *Words APIs (CopyHolderWords, JoinWords, AcquireExclusiveWords) with
+// caller-owned scratch so the hot paths stay allocation-free at 256 cores.
 package coherence
 
 import (
@@ -437,15 +437,23 @@ func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 
 // MoveSharer transfers a holder bit from one node to another in one step
 // (an L2 victim moving into the chip's L3). Dirty ownership moves with it.
-func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
+// It reports whether to already held the line: the machine model's spill
+// path then knows the L3 has the victim resident and skips the insertion
+// scan only in the other case.
+func (d *Directory) MoveSharer(l cache.Line, from, to Node) (held bool) {
 	d.checkNode(from)
 	d.checkNode(to)
 	i := d.findSlot(l)
-	if i < 0 || !d.hasBit(i, from) {
+	if i < 0 {
 		// Nothing to move; treat as a plain add so callers need not
 		// special-case races between eviction paths.
 		d.AddSharer(l, to)
-		return
+		return false
+	}
+	held = d.hasBit(i, to)
+	if !d.hasBit(i, from) {
+		d.setBit(i, to)
+		return held
 	}
 	wasOwner := d.tab[i].owner == int16(from)
 	d.clearBit(i, from)
@@ -453,6 +461,47 @@ func (d *Directory) MoveSharer(l cache.Line, from, to Node) {
 	if wasOwner {
 		d.tab[i].owner = int16(to)
 	}
+	return held
+}
+
+// JoinMask records n as a clean holder of line and returns the holder
+// mask from before the join, in one table probe. It is the L2-miss fill's
+// only directory access: the returned set says whether the chip's L3 holds
+// the line and, if not, which cache is the nearest source, while the join
+// records the requester's new copy. Narrow directories only; the wide
+// fill path is JoinWords.
+//
+//o2:hotpath
+func (d *Directory) JoinMask(l cache.Line, n Node) (prev uint64) {
+	if d.extw != 0 {
+		panicNarrowOnly("JoinMask")
+	}
+	d.checkNode(n)
+	e := d.ensure(l)
+	prev = e.holders
+	e.holders = prev | 1<<uint(n)
+	return prev
+}
+
+// JoinWords is JoinMask at any width: it records n as a clean holder of
+// line, writes the holder set from before the join into prev (which must
+// have at least NumWords elements, fully overwritten), and reports whether
+// that set was non-empty. prev is caller-owned scratch; the call
+// allocates nothing.
+//
+//o2:hotpath
+func (d *Directory) JoinWords(l cache.Line, n Node, prev []uint64) bool {
+	d.checkNode(n)
+	i := d.ensureIdx(l)
+	prev[0] = d.tab[i].holders
+	any := prev[0] != 0
+	for w := 0; w < d.extw; w++ {
+		x := d.ext[i*d.extw+w]
+		prev[w+1] = x
+		any = any || x != 0
+	}
+	d.setBit(i, n)
+	return any
 }
 
 // Holders returns the nodes holding line, in ascending order. The result

@@ -106,12 +106,30 @@ func TestMoveSharer(t *testing.T) {
 	d := NewDirectory(8)
 	l := cache.Line(3)
 	d.SetOwner(l, 1)
-	d.MoveSharer(l, 1, 6)
+	if d.MoveSharer(l, 1, 6) {
+		t.Fatal("MoveSharer reports the destination held a line it did not")
+	}
 	if d.Holds(l, 1) || !d.Holds(l, 6) {
 		t.Fatal("MoveSharer holder bits wrong")
 	}
 	if d.Owner(l) != 6 {
 		t.Fatal("dirty ownership must move with the line")
+	}
+}
+
+// TestMoveSharerIntoHolder is the spill of a line the chip's L3 already
+// holds: a second core on the chip evicting its copy. MoveSharer must
+// report the destination held it so the machine skips the insert.
+func TestMoveSharerIntoHolder(t *testing.T) {
+	d := NewDirectory(8)
+	l := cache.Line(3)
+	d.AddSharer(l, 1)
+	d.AddSharer(l, 6)
+	if !d.MoveSharer(l, 1, 6) {
+		t.Fatal("MoveSharer into an existing holder reported held = false")
+	}
+	if d.Holds(l, 1) || !d.Holds(l, 6) || d.SharerCount(l) != 1 {
+		t.Fatalf("holders after move = %v, want [6]", d.Holders(l))
 	}
 }
 

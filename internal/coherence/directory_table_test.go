@@ -15,7 +15,7 @@ import (
 
 // dirOp is one scripted directory operation for the table-driven tests.
 type dirOp struct {
-	op   string // "add", "own", "remove", "move", "invalidate"
+	op   string // "add", "join", "own", "remove", "move", "invalidate"
 	line cache.Line
 	node Node
 	to   Node // move only
@@ -27,6 +27,8 @@ func applyOps(t *testing.T, d *Directory, ops []dirOp) {
 		switch o.op {
 		case "add":
 			d.AddSharer(o.line, o.node)
+		case "join":
+			d.JoinMask(o.line, o.node)
 		case "own":
 			d.SetOwner(o.line, o.node)
 		case "remove":
@@ -103,6 +105,19 @@ func TestSharerAddRemoveTable(t *testing.T) {
 				{op: "remove", line: 6, node: 2},
 			},
 			line: 6, holders: []Node{1}, owner: NoOwner, tracked: 1,
+		},
+		{
+			name: "join on an untracked line creates a clean entry",
+			ops:  []dirOp{{op: "join", line: 4, node: 3}},
+			line: 4, holders: []Node{3}, owner: NoOwner, tracked: 1,
+		},
+		{
+			name: "join adds a holder and keeps the dirty owner",
+			ops: []dirOp{
+				{op: "own", line: 4, node: 2},
+				{op: "join", line: 4, node: 5},
+			},
+			line: 4, holders: []Node{2, 5}, owner: 2, tracked: 1,
 		},
 		{
 			name: "line zero is a valid tracked line",
@@ -273,7 +288,8 @@ func TestReplicatedReadOnlyLines(t *testing.T) {
 }
 
 // TestDirectoryMatchesModel drives the directory and a map-based reference
-// model through a long random schedule over enough distinct lines to force
+// model through a long random schedule, checking the values JoinMask and
+// MoveSharer return along the way, over enough distinct lines to force
 // table growth and deletion-heavy churn, then checks full agreement. This
 // is the heavyweight pin for the open-addressed rewrite.
 func TestDirectoryMatchesModel(t *testing.T) {
@@ -300,9 +316,18 @@ func TestDirectoryMatchesModel(t *testing.T) {
 	for i := 0; i < nops; i++ {
 		l := cache.Line(rng.Intn(nlines))
 		n := Node(rng.Intn(nodes))
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0, 1:
 			d.AddSharer(l, n)
+			get(l).holders |= 1 << uint(n)
+		case 6:
+			var want uint64
+			if r := model[l]; r != nil {
+				want = r.holders
+			}
+			if got := d.JoinMask(l, n); got != want {
+				t.Fatalf("op %d: JoinMask(%d, %d) = %#x, model %#x", i, l, n, got, want)
+			}
 			get(l).holders |= 1 << uint(n)
 		case 2:
 			d.SetOwner(l, n)
@@ -322,8 +347,11 @@ func TestDirectoryMatchesModel(t *testing.T) {
 			}
 		case 4:
 			to := Node(rng.Intn(nodes))
-			d.MoveSharer(l, n, to)
+			held := d.MoveSharer(l, n, to)
 			r := model[l]
+			if want := r != nil && r.holders&(1<<uint(to)) != 0; held != want {
+				t.Fatalf("op %d: MoveSharer(%d, %d, %d) held = %v, model %v", i, l, n, to, held, want)
+			}
 			if r == nil || r.holders&(1<<uint(n)) == 0 {
 				get(l).holders |= 1 << uint(to)
 			} else {

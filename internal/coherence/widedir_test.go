@@ -57,10 +57,24 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 	for i := 0; i < nops; i++ {
 		l := cache.Line(rng.Intn(nlines))
 		n := Node(rng.Intn(nodes))
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0, 1:
 			d.AddSharer(l, n)
 			get(l).holders[n] = true
+		case 7:
+			had := d.JoinWords(l, n, inv)
+			r := get(l)
+			if had != (len(r.holders) > 0) {
+				t.Fatalf("op %d: JoinWords reports holders=%v, model has %d", i, had, len(r.holders))
+			}
+			for w, x := range inv {
+				for b := 0; b < 64; b++ {
+					if set := x&(1<<uint(b)) != 0; set != r.holders[Node(w*64+b)] {
+						t.Fatalf("op %d: JoinWords word %d bit %d disagrees with the model", i, w, b)
+					}
+				}
+			}
+			r.holders[n] = true
 		case 2:
 			d.SetOwner(l, n)
 			r := get(l)
@@ -77,8 +91,11 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 			}
 		case 4:
 			to := Node(rng.Intn(nodes))
-			d.MoveSharer(l, n, to)
+			held := d.MoveSharer(l, n, to)
 			r := model[l]
+			if want := r != nil && r.holders[to]; held != want {
+				t.Fatalf("op %d: MoveSharer held = %v, model %v", i, held, want)
+			}
 			if r == nil || !r.holders[n] {
 				get(l).holders[to] = true
 			} else {
@@ -164,7 +181,8 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 // TestWideMatchesNarrow runs one random schedule over nodes < 64 against
 // both a narrow (64-node) and a wide (80-node) directory and demands
 // identical observable state throughout, including identical invalidation
-// sets from the two store-path APIs. This is the model-parity pin for the
+// sets from the two store-path APIs, identical pre-join holder sets from
+// JoinMask and JoinWords, and identical MoveSharer reports. This is the model-parity pin for the
 // rewrite: configurations that fit one word must behave exactly as the
 // single-word implementation did.
 func TestWideMatchesNarrow(t *testing.T) {
@@ -183,10 +201,16 @@ func TestWideMatchesNarrow(t *testing.T) {
 	for i := 0; i < nops; i++ {
 		l := cache.Line(rng.Intn(nlines))
 		n := Node(rng.Intn(nodes))
-		switch rng.Intn(7) {
+		switch rng.Intn(8) {
 		case 0, 1:
 			narrow.AddSharer(l, n)
 			wide.AddSharer(l, n)
+		case 7:
+			mask := narrow.JoinMask(l, n)
+			had := wide.JoinWords(l, n, inv)
+			if mask != inv[0] || inv[1] != 0 || had != (mask != 0) {
+				t.Fatalf("op %d: JoinMask %#x vs JoinWords [%#x %#x] had=%v", i, mask, inv[0], inv[1], had)
+			}
 		case 2:
 			narrow.SetOwner(l, n)
 			wide.SetOwner(l, n)
@@ -195,8 +219,9 @@ func TestWideMatchesNarrow(t *testing.T) {
 			wide.RemoveSharer(l, n)
 		case 4:
 			to := Node(rng.Intn(nodes))
-			narrow.MoveSharer(l, n, to)
-			wide.MoveSharer(l, n, to)
+			if a, b := narrow.MoveSharer(l, n, to), wide.MoveSharer(l, n, to); a != b {
+				t.Fatalf("op %d: MoveSharer held %v vs %v", i, a, b)
+			}
 		case 5:
 			a := narrow.InvalidateExcept(l, n)
 			b := wide.InvalidateExcept(l, n)
@@ -281,6 +306,7 @@ func TestNarrowOnlyAPIsGuarded(t *testing.T) {
 	}{
 		{"HolderMask", func(d *Directory) { d.HolderMask(1) }},
 		{"AcquireExclusive", func(d *Directory) { d.AcquireExclusive(1, 0) }},
+		{"JoinMask", func(d *Directory) { d.JoinMask(1, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := NewDirectory(65)

@@ -100,6 +100,10 @@ type Runtime struct {
 	opts Options
 
 	objs map[mem.Addr]*objInfo // keyed by object base address
+	// order holds the objs values in registration order. The monitor's
+	// passes walk it instead of the map, so the trace events they emit
+	// at one timestamp come out in the same order on every run.
+	order []*objInfo
 
 	// coreLoad is the placed bytes per core; budget is the per-core
 	// capacity in bytes.
@@ -199,6 +203,8 @@ func (rt *Runtime) Reset() {
 		rt.oiPool = append(rt.oiPool, oi)
 		delete(rt.objs, k)
 	}
+	clear(rt.order)
+	rt.order = rt.order[:0]
 	for i := range rt.coreLoad {
 		rt.coreLoad[i] = 0
 	}
@@ -264,6 +270,7 @@ func (rt *Runtime) info(addr mem.Addr) *objInfo {
 		}
 		oi.obj = obj
 		rt.objs[obj.Base] = oi
+		rt.order = append(rt.order, oi)
 	}
 	return oi
 }

@@ -51,16 +51,18 @@ func (rt *Runtime) rebalance() {
 	// 1. Decay stale placements, and withdraw ineffective ones: a placed
 	// object whose operations still pull a large fraction of its lines
 	// from DRAM is not fitting on chip, so every migration to it is
-	// wasted cost.
+	// wasted cost. Both passes walk objects in registration order, not
+	// map order: each can emit an unplace event per object at this one
+	// timestamp, and the trace must list them the same way every run.
 	if rt.opts.DecayWindow > 0 {
-		for _, oi := range rt.objs {
+		for _, oi := range rt.order {
 			if oi.placed && now-oi.lastAccess > rt.opts.DecayWindow {
 				rt.unplace(oi)
 			}
 		}
 	}
 	if frac := rt.opts.UnplaceDRAMFrac; frac > 0 {
-		for _, oi := range rt.objs {
+		for _, oi := range rt.order {
 			// Judge only placements old enough that the cold-start
 			// DRAM loads of the placement itself have decayed out of
 			// the EWMA (0.75^8 ≈ 10% residue at the default alpha).

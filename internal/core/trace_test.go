@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/exec"
+	"repro/internal/mem"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -94,4 +97,58 @@ func TestNoTracerIsFree(t *testing.T) {
 		}
 	})
 	h.eng.Run(0) // would panic if Emit were not nil-safe
+}
+
+// TestDecayTraceOrderDeterministic runs one workload on two runtimes and
+// demands identical trace event sequences. Dozens of objects decay in the
+// same monitor pass, so their unplace events share a timestamp; a pass
+// that walked the object map would emit them in a different order on
+// each run.
+func TestDecayTraceOrderDeterministic(t *testing.T) {
+	run := func() []trace.Event {
+		opts := DefaultOptions()
+		opts.RebalanceInterval = 500_000
+		opts.DecayWindow = 1_000_000
+		tr := trace.New(1 << 14)
+		opts.Tracer = tr
+		h := newHarness(t, opts)
+		var objs []*mem.Object
+		for i := 0; i < 48; i++ {
+			objs = append(objs, h.alloc(t, fmt.Sprintf("obj%d", i), 16<<10))
+		}
+		for core := 0; core < 16; core++ {
+			h.sys.Go("worker", core, func(th *exec.Thread) {
+				for r := 0; r < 3; r++ {
+					for i := core; i < len(objs); i += 16 {
+						scanOp(h.rt, th, objs[i])
+					}
+				}
+			})
+		}
+		// Keep the monitor ticking long after the last operation, so
+		// every placement decays.
+		h.sys.Go("idle", 0, func(th *exec.Thread) { th.Compute(8_000_000) })
+		h.eng.Run(0)
+		return tr.Events()
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("runs traced %d vs %d events", len(a), len(b))
+	}
+	unplacedAt := make(map[sim.Time]int)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("event %d differs between runs:\n%v\n%v", i, a[i], b[i])
+		}
+		if a[i].Kind == trace.EvUnplace {
+			unplacedAt[a[i].At]++
+		}
+	}
+	most := 0
+	for _, n := range unplacedAt {
+		most = max(most, n)
+	}
+	if most < 16 {
+		t.Fatalf("at most %d unplace events share a timestamp; the test needs a mass decay", most)
+	}
 }

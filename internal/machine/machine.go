@@ -296,12 +296,18 @@ func (m *Machine) l1HitTail(core int, l cache.Line, write bool, c *perfctr.Count
 	return lat
 }
 
-// missLine services an access that missed L1: the rest of the local
-// hierarchy, then remote caches or DRAM, then write ownership.
+// missLine services an access that missed L1: the core's L2, then the
+// directory-guided fill, then write ownership.
+//
+//o2:hotpath
 func (m *Machine) missLine(core int, l cache.Line, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
-	lat, ok := m.lookupShared(core, l, c)
-	if !ok {
-		lat = m.fetchMiss(core, l, write, at, c)
+	var lat sim.Cycles
+	if m.l2[core].Lookup(l) {
+		c.L2Loads++
+		m.installL1(core, l)
+		lat = m.cfg.Lat.L2Hit
+	} else {
+		lat = m.fill(core, l, at, c)
 	}
 	if write {
 		lat += m.acquireOwnership(core, l, c)
@@ -309,40 +315,50 @@ func (m *Machine) missLine(core int, l cache.Line, write bool, at sim.Time, c *p
 	return lat
 }
 
-// lookupShared checks the core's L2 and the chip's shared L3 after an L1
-// miss.
-func (m *Machine) lookupShared(core int, l cache.Line, c *perfctr.Counters) (sim.Cycles, bool) {
-	if m.l2[core].Lookup(l) {
-		c.L2Loads++
-		m.installL1(core, l)
-		return m.cfg.Lat.L2Hit, true
-	}
-	c.L2Miss++
-	chip := m.chipOf[core]
-	if wasDirty, hit := m.l3[chip].Remove(l); hit {
-		// Exclusive victim L3: a hit promotes the line back into the
-		// core's private hierarchy and removes it from L3. Remove probes
-		// and invalidates in one scan.
-		m.dir.RemoveSharer(l, m.l3Node(chip))
-		c.L3Loads++
-		m.installCore(core, l, wasDirty)
-		return m.cfg.Lat.L3Hit, true
-	}
-	c.L3Miss++
-	return 0, false
-}
-
-// fetchMiss services a miss from the nearest remote cache or DRAM,
-// charging memory-controller and (when modeled) interconnect queueing on
-// top of the raw distance latency. Queueing cycles are attributed to the
-// requesting core's bw-stall counters so the monitor can see where
-// bandwidth, not distance, is the cost.
+// fill services an L2 miss from one directory probe. JoinMask (JoinWords
+// on wide machines) records the core as a holder and returns the holder
+// set from before the join. Directory and caches agree line for line
+// (CheckInvariants), so that set alone decides where the line comes from:
+//
+//   - the chip's L3 bit is set: the exclusive victim L3 holds the line,
+//     its Remove must hit, and the line moves back into the core's
+//     private hierarchy;
+//   - otherwise no L3 set is scanned, and the line comes from the nearest
+//     holder in the set, or from DRAM when the set is empty.
+//
+// Remote-cache and DRAM fills charge memory-controller and (when modeled)
+// interconnect queueing on top of the raw distance latency. Queueing
+// cycles are attributed to the requesting core's bw-stall counters so the
+// monitor can see where bandwidth, not distance, is the cost.
 //
 //o2:hotpath
-func (m *Machine) fetchMiss(core int, l cache.Line, write bool, at sim.Time, c *perfctr.Counters) sim.Cycles {
+func (m *Machine) fill(core int, l cache.Line, at sim.Time, c *perfctr.Counters) sim.Cycles {
+	c.L2Miss++
 	myChip := m.chipOf[core]
+	l3node := m.l3Node(myChip)
+	var mask uint64
+	var held, inL3 bool
+	if m.holderWords == nil {
+		mask = m.dir.JoinMask(l, m.coreNode(core))
+		held, inL3 = mask != 0, mask&(1<<uint(l3node)) != 0
+	} else {
+		held = m.dir.JoinWords(l, m.coreNode(core), m.holderWords)
+		inL3 = m.holderWords[l3node>>6]&(1<<(uint(l3node)&63)) != 0
+	}
+	if inL3 {
+		wasDirty, hit := m.l3[myChip].Remove(l)
+		if !hit {
+			panic(panicL3Disagrees)
+		}
+		m.dir.RemoveSharer(l, l3node)
+		c.L3Loads++
+		m.installCore(core, l, wasDirty, c)
+		return m.cfg.Lat.L3Hit
+	}
+	c.L3Miss++
 	var lat sim.Cycles
-	if srcChip, found := m.nearestHolderChip(core, l); found {
+	if held {
+		srcChip := m.nearestHolderChip(core, mask)
 		lat = m.remoteLat[myChip][srcChip]
 		c.RemoteFetches++
 		if m.link != nil && srcChip != myChip {
@@ -366,36 +382,34 @@ func (m *Machine) fetchMiss(core int, l cache.Line, write bool, at sim.Time, c *
 			c.LinkQueueCycles += uint64(lq)
 		}
 	}
-	m.installCore(core, l, false)
+	m.installCore(core, l, false, c)
 	return lat
 }
 
-// nearestHolderChip finds the chip of the closest cache holding the line,
-// iterating holder bits directly (ascending node order, matching the
-// directory's fan-out order). The requesting core itself cannot be a
-// holder (it just missed). Narrow machines read the single holder word
-// inline; wide machines copy the set into machine-owned scratch and scan
-// word by word — both allocation-free.
+// panicL3Disagrees is the panic message when the directory records an L3
+// copy the chip's L3 does not hold. The fill and spill paths trust the
+// directory instead of scanning the L3, so a disagreement must stop the
+// run rather than silently change results.
+const panicL3Disagrees = "machine: directory records an L3 copy the chip's L3 does not hold"
+
+// nearestHolderChip picks the chip of the closest cache in the non-empty
+// holder set fill's join returned: mask on narrow machines, the words in
+// m.holderWords on wide ones. Holder bits are visited in ascending node
+// order, matching the directory's fan-out order. The requesting core
+// itself is not in the set (it had just missed).
 //
 //o2:hotpath
-func (m *Machine) nearestHolderChip(core int, l cache.Line) (chip int, found bool) {
+func (m *Machine) nearestHolderChip(core int, mask uint64) int {
 	if m.holderWords == nil {
-		mask := m.dir.HolderMask(l)
-		if mask == 0 {
-			return 0, false
-		}
-		return m.nearestInWord(core, mask, 0), true
-	}
-	if !m.dir.CopyHolderWords(l, m.holderWords) {
-		return 0, false
+		return m.nearestInWord(core, mask, 0)
 	}
 	myChip := m.chipOf[core]
 	best, bestDist := 0, int(^uint(0)>>1)
-	for w, mask := range m.holderWords {
-		if mask == 0 {
+	for w, word := range m.holderWords {
+		if word == 0 {
 			continue
 		}
-		c := m.nearestInWord(core, mask, w*64)
+		c := m.nearestInWord(core, word, w*64)
 		if d := m.hop[myChip][c]; d < bestDist {
 			best, bestDist = c, d
 			if d == 0 {
@@ -403,7 +417,7 @@ func (m *Machine) nearestHolderChip(core int, l cache.Line) (chip int, found boo
 			}
 		}
 	}
-	return best, true
+	return best
 }
 
 // nearestInWord scans one non-zero holder word (nodes [base, base+64))
@@ -494,38 +508,50 @@ func (m *Machine) invalidateWord(inv uint64, base int, l cache.Line) {
 // evictions: L2 victims fall into the chip's L3 (victim cache), L3 victims
 // are written back to DRAM (holder bit dropped). Inclusion (L1 ⊆ L2) is
 // maintained so the directory can treat each core's private hierarchy as a
-// single node.
-func (m *Machine) installCore(core int, l cache.Line, dirty bool) {
-	chip := m.chipOf[core]
-	node := m.coreNode(core)
-	c := m.ctr.Core(core)
-
+// single node. fill's join has already recorded the core as the line's
+// holder.
+//
+//o2:hotpath
+func (m *Machine) installCore(core int, l cache.Line, dirty bool, c *perfctr.Counters) {
 	// InsertNew: every install follows a failed L2 lookup on this line
-	// (lookupShared's L2 miss), so the residency re-scan is skipped.
+	// (missLine's L2 miss), so the residency re-scan is skipped.
 	if victim, vDirty, evicted := m.l2[core].InsertNew(l, dirty); evicted {
 		c.Evictions++
 		// Maintain inclusion: the victim may still sit in L1.
 		m.l1[core].Remove(victim)
-		m.spillToL3(chip, node, victim, vDirty, c)
+		m.spillToL3(m.chipOf[core], m.coreNode(core), victim, vDirty, c)
 	}
-	m.dir.AddSharer(l, node)
 	m.installL1(core, l)
 }
 
-// spillToL3 places an L2 victim into the chip's victim L3.
+// spillToL3 places an L2 victim into the chip's victim L3. The directory
+// move reports whether the L3 already holds the victim (another core on
+// the chip evicted its copy earlier); only then does the insert scan the
+// set, to refresh the resident copy's recency and dirty bit. Otherwise the
+// victim is absent and InsertNew skips the 32-way residency scan.
+//
+//o2:hotpath
 func (m *Machine) spillToL3(chip int, from coherence.Node, victim cache.Line, dirty bool, c *perfctr.Counters) {
 	l3 := m.l3[chip]
 	l3node := m.l3Node(chip)
-	if w, _, evicted := l3.Insert(victim, dirty); evicted {
+	if m.dir.MoveSharer(victim, from, l3node) {
+		n := l3.Len()
+		if _, _, evicted := l3.Insert(victim, dirty); evicted || l3.Len() != n {
+			panic(panicL3Disagrees)
+		}
+		return
+	}
+	if w, _, evicted := l3.InsertNew(victim, dirty); evicted {
 		c.Evictions++
 		m.dir.RemoveSharer(w, l3node) // writeback to DRAM
 	}
-	m.dir.MoveSharer(victim, from, l3node)
 }
 
 // installL1 inserts into L1 only; L1 victims need no bookkeeping because
 // inclusion guarantees they remain in L2. Every caller is on the miss
 // path after this core's L1 lookup failed, so InsertNew applies.
+//
+//o2:hotpath
 func (m *Machine) installL1(core int, l cache.Line) {
 	m.l1[core].InsertNew(l, false)
 }
@@ -563,7 +589,8 @@ func (m *Machine) Reset() {
 // CheckInvariants verifies the structural properties the model relies on:
 //
 //  1. directory ↔ cache agreement: node n holds line l in the directory
-//     iff l is resident in n's cache(s);
+//     iff l is resident in n's cache(s), and the directory tracks no line
+//     that no cache holds;
 //  2. inclusion: every L1 line is also in the same core's L2;
 //  3. owner validity: a line's dirty owner is one of its holders.
 //
@@ -613,6 +640,9 @@ func (m *Machine) checkDirectoryBacked() error {
 	slices.Sort(lines)
 	lines = slices.Compact(lines)
 	m.scratchLines = lines
+	if n := m.dir.TrackedLines(); n != len(lines) {
+		return fmt.Errorf("machine: directory tracks %d lines but %d are resident", n, len(lines))
+	}
 	for _, l := range lines {
 		for _, n := range m.dir.Holders(l) {
 			var resident bool

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -124,5 +125,101 @@ func TestWideFanOutAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("wide invalidation fan-out allocates %.1f times per cycle, want 0", allocs)
+	}
+}
+
+// dropLine discards core's clean copy of l without spilling it to the
+// L3, so core's next access to l misses L2 again and the directory
+// agrees.
+func (m *Machine) dropLine(core int, l cache.Line) {
+	m.l1[core].Remove(l)
+	m.l2[core].Remove(l)
+	m.dir.RemoveSharer(l, m.coreNode(core))
+}
+
+// spillLine evicts core's clean copy of l into its chip's victim L3, the
+// path an L2 victim takes.
+func (m *Machine) spillLine(core int, l cache.Line) {
+	m.l1[core].Remove(l)
+	m.l2[core].Remove(l)
+	m.spillToL3(m.chipOf[core], m.coreNode(core), l, false, m.ctr.Core(core))
+}
+
+// l2MissFills are the BenchmarkL2MissFill cases. Each setup primes a
+// machine and returns one iteration: an access that misses L2 and is
+// filled one way, then the eviction that makes the next access miss L2
+// the same way.
+var l2MissFills = []struct {
+	name  string
+	setup func() func()
+}{
+	{"amd16-remote", func() func() {
+		// Core 0 (chip 0) holds the line; core 4 (chip 1) misses L2
+		// and L3 and fetches it from core 0.
+		m := MustNew(topology.AMD16(), 1<<20)
+		const addr, reader = mem.Addr(4096), 4
+		l := cache.LineOf(addr, m.LineSize())
+		at := sim.Time(m.Access(0, addr, false, 0))
+		return func() {
+			at += m.Access(reader, addr, false, at)
+			m.dropLine(reader, l)
+		}
+	}},
+	{"amd16-l3-hit", func() func() {
+		// The line sits in chip 0's victim L3; core 0 promotes it back
+		// and evicts it into the L3 again.
+		m := MustNew(topology.AMD16(), 1<<20)
+		const addr = mem.Addr(4096)
+		l := cache.LineOf(addr, m.LineSize())
+		at := sim.Time(m.Access(0, addr, false, 0))
+		m.spillLine(0, l)
+		return func() {
+			at += m.Access(0, addr, false, at)
+			m.spillLine(0, l)
+		}
+	}},
+	{"numa256-wide", func() func() {
+		// Every core of chips 0-30 holds the line, so the holder set
+		// spans all five directory words; core 255 (chip 31) joins and
+		// scans the set for the nearest holder.
+		m := MustNew(topology.NUMA256(), 1<<20)
+		const addr = mem.Addr(4096)
+		reader := m.NumCores() - 1
+		l := cache.LineOf(addr, m.LineSize())
+		var at sim.Time
+		for core := 0; core < reader-7; core++ {
+			at += m.Access(core, addr, false, at)
+		}
+		return func() {
+			at += m.Access(reader, addr, false, at)
+			m.dropLine(reader, l)
+		}
+	}},
+}
+
+// BenchmarkL2MissFill measures the directory-guided L2-miss fill: one
+// directory join decides between the chip's L3, a remote cache and DRAM.
+// The iteration includes the eviction that re-arms the miss.
+func BenchmarkL2MissFill(b *testing.B) {
+	for _, fc := range l2MissFills {
+		b.Run(fc.name, func(b *testing.B) {
+			step := fc.setup()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	}
+}
+
+// TestL2MissFillAllocs is the allocation gate on the L2-miss fill: every
+// BenchmarkL2MissFill case must run at 0 allocs/op.
+func TestL2MissFillAllocs(t *testing.T) {
+	for _, fc := range l2MissFills {
+		step := fc.setup()
+		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per fill, want 0", fc.name, allocs)
+		}
 	}
 }
