@@ -17,29 +17,31 @@
 // lockstep with cache contents; the invariant tests in internal/machine
 // check that correspondence after every simulation.
 //
-// The directory sits on the simulator's access fast path — every miss
-// probes it and every store acquires ownership through it — so entries
-// live inline in an open-addressed hash table rather than behind the
-// pointer-chasing map[Line]*state this package started with. An entry is
-// 24 bytes: the line number, the first 64-bit word of the holder bitset,
-// and the dirty owner. Probing is linear with backward-shift deletion, so
-// lookups never cross tombstones and the common probe is one cache line of
-// table.
+// The directory sits on the simulator's access fast path — every L2 miss
+// joins through it and every store acquires ownership through it — so a
+// probe is one indexed load. Every simulated line lies inside the
+// machine's memory image, so the line number itself is the slot: line l's
+// holder set is the NumWords() words at l*NumWords() of one flat array,
+// and its dirty owner is a parallel int16 stored as node+1, so the zero
+// value means clean and a fresh or cleared table needs no sentinel. The
+// table grows by doubling to cover the highest line recorded, up to
+// MaxLines; a line beyond its end has no holders. There is no hashing,
+// probing or deletion: a line whose last holder leaves keeps an all-zero
+// set.
 //
 // # Sharer-set width
 //
-// A holder set is a fixed-width bitset of NumWords() 64-bit words. On
-// machines with at most 64 nodes — every configuration up to the paper's
-// AMD16 and the 64-core presets — the whole set is the inline `holders`
-// word and the directory runs exactly the single-word code it always has:
-// holders == 0 doubles as the empty-slot marker and no extra storage
-// exists. Wider machines (the 128/256-core NUMA presets) spill words 1..w
-// into a flat side array indexed by slot, occupancy switches to an owner
-// sentinel (a word-0-only marker cannot work when a line's only holder is
-// node ≥ 64), and the fan-out paths iterate set words with
-// popcount/trailing-zero scans. Callers on wide directories use the
-// *Words APIs (CopyHolderWords, JoinWords, AcquireExclusiveWords) with
-// caller-owned scratch so the hot paths stay allocation-free at 256 cores.
+// A holder set is a fixed-width bitset of NumWords() 64-bit words, sized
+// from the node count at construction: one word up to 64 nodes (every
+// configuration up to the paper's AMD16 and the 64-core presets), five
+// for the 256-core NUMA preset's 288 nodes. Every width runs the same
+// code. The fan-out APIs (CopyHolderWords, JoinWords,
+// AcquireExclusiveWords) write holder sets into caller-owned scratch, so
+// the hot paths stay allocation-free at 256 cores. HolderMask, JoinMask
+// and AcquireExclusive are their one-word forms, which return the set as
+// a bitmask; they panic on a wider directory. The machine's fill and
+// store paths use them on ≤64-node machines because BenchmarkL2MissFill
+// measures them faster than the word forms there.
 package coherence
 
 import (
@@ -63,41 +65,24 @@ const NoOwner Node = -1
 // preset, not an accident.
 const MaxNodes = 512
 
+// MaxLines bounds the line numbers the directory records: 2^24 lines is a
+// 1 GiB memory image at 64-byte lines. The table grows to cover the
+// highest line recorded, so a stray line number must stop here rather
+// than grow it to gigabytes.
+const MaxLines = 1 << 24
+
 const (
-	// ownerNone is NoOwner in an entry's compact owner field.
-	ownerNone int16 = -1
-	// ownerEmpty marks an empty slot in a wide (NumWords > 1) table, where
-	// holders == 0 cannot mean "empty": a line held only by node ≥ 64 has
-	// word 0 clear. Narrow tables never store it.
-	ownerEmpty int16 = -2
+	panicLineBeyondMax = "coherence: line number at or beyond MaxLines"
+	panicOneWordOnly   = "coherence: one-word API on a >64-node directory; use the *Words API"
 )
-
-// entry is the directory's record for one line, stored by value in the
-// open-addressed table. In a narrow (one-word) table, holders == 0 doubles
-// as the empty-slot marker: a tracked line always has at least one holder
-// (the last RemoveSharer or InvalidateExcept deletes the entry), so no
-// separate occupancy bit is needed and line 0 stays a valid key. In a wide
-// table, owner == ownerEmpty marks the empty slot instead.
-type entry struct {
-	line    cache.Line
-	holders uint64 // word 0 of the holder bitset
-	owner   int16  // node holding the line dirty, ownerNone, or ownerEmpty
-}
-
-// dirInitialSlots is the starting table size. Runs at AMD16 scale track a
-// few hundred thousand lines; the table doubles as needed.
-const dirInitialSlots = 1024
 
 // Directory tracks holders of every cached line in the machine.
 type Directory struct {
-	nodes   int
-	nwords  int // 64-bit words per holder set
-	extw    int // nwords-1: side-array words per slot (0 ⇒ narrow table)
-	tab     []entry
-	ext     []uint64 // slot i's holder words 1..nwords-1 at [i*extw, (i+1)*extw)
-	mask    uint64   // len(tab)-1; len(tab) is a power of two
-	count   int      // occupied slots
-	maxLoad int      // grow when count reaches this (¾ of the table)
+	nodes  int
+	nwords int      // 64-bit words per holder set
+	words  []uint64 // line l's holder set at [l*nwords, (l+1)*nwords)
+	owner  []int16  // line l's dirty owner + 1; 0 means clean
+	count  int      // lines with at least one holder
 }
 
 // NewDirectory creates a directory for a machine with the given total
@@ -108,26 +93,7 @@ func NewDirectory(nodes int) *Directory {
 	if nodes <= 0 || nodes > MaxNodes {
 		panic(fmt.Sprintf("coherence: %d nodes outside supported range [1,%d]", nodes, MaxNodes))
 	}
-	d := &Directory{
-		nodes:  nodes,
-		nwords: (nodes + 63) / 64,
-	}
-	d.extw = d.nwords - 1
-	d.initTable(dirInitialSlots)
-	return d
-}
-
-func (d *Directory) initTable(slots int) {
-	d.tab = make([]entry, slots)
-	d.mask = uint64(slots - 1)
-	d.maxLoad = slots - slots/4
-	d.count = 0
-	if d.extw != 0 {
-		d.ext = make([]uint64, slots*d.extw)
-		for i := range d.tab {
-			d.tab[i].owner = ownerEmpty
-		}
-	}
+	return &Directory{nodes: nodes, nwords: (nodes + 63) / 64}
 }
 
 // Nodes returns the number of nodes the directory was built for.
@@ -140,223 +106,79 @@ func (d *Directory) NumWords() int { return d.nwords }
 // TrackedLines returns how many lines currently have at least one holder.
 func (d *Directory) TrackedLines() int { return d.count }
 
-// Reset drops every entry while keeping the table's capacity, so a machine
-// flushed between benchmark phases does not regrow the directory from
-// scratch.
+// Reset drops every holder and owner while keeping the table's capacity,
+// so a machine flushed between benchmark phases does not regrow the
+// directory from scratch.
 func (d *Directory) Reset() {
-	clear(d.tab)
+	clear(d.words)
+	clear(d.owner)
 	d.count = 0
-	if d.extw != 0 {
-		clear(d.ext)
-		for i := range d.tab {
-			d.tab[i].owner = ownerEmpty
-		}
-	}
 }
 
 func (d *Directory) checkNode(n Node) {
-	if n < 0 || int(n) >= d.nodes {
-		panic(fmt.Sprintf("coherence: node %d outside [0,%d)", n, d.nodes))
+	if uint(n) >= uint(d.nodes) {
+		panicNode(n, d.nodes)
 	}
 }
 
-// panicNarrowOnly reports misuse of a single-word API on a wide directory;
-// out of line so the hot callers stay free of allocating panic arguments.
-func panicNarrowOnly(op string) {
-	panic("coherence: " + op + " is single-word; use the *Words API on a >64-node directory")
+// panicNode is out of line so checkNode stays small enough to inline.
+func panicNode(n Node, nodes int) {
+	panic(fmt.Sprintf("coherence: node %d outside [0,%d)", n, nodes))
 }
 
-// hashLine is the fmix64 finalizer: a full-avalanche hash so line numbers,
-// which arrive with strong arithmetic structure (consecutive lines,
-// chip-interleaved strides), spread over the table.
-func hashLine(l cache.Line) uint64 {
-	x := uint64(l)
-	x ^= x >> 33
-	x *= 0xFF51AFD7ED558CCD
-	x ^= x >> 33
-	x *= 0xC4CEB9FE1A85EC53
-	x ^= x >> 33
-	return x
-}
-
-// findSlot returns the table index of l's entry, or -1 when l is
-// untracked. The narrow table checks occupancy on the inline holder word;
-// the wide table on the owner sentinel.
+// cover grows the table, if needed, so that it covers line l.
 //
 //o2:hotpath
-func (d *Directory) findSlot(l cache.Line) int {
-	i := hashLine(l) & d.mask
-	if d.extw == 0 {
-		for {
-			e := &d.tab[i]
-			if e.holders == 0 {
-				return -1
-			}
-			if e.line == l {
-				return int(i)
-			}
-			i = (i + 1) & d.mask
-		}
-	}
-	for {
-		e := &d.tab[i]
-		if e.owner == ownerEmpty {
-			return -1
-		}
-		if e.line == l {
-			return int(i)
-		}
-		i = (i + 1) & d.mask
+func (d *Directory) cover(l cache.Line) {
+	if uint64(l) >= uint64(len(d.owner)) {
+		d.grow(l)
 	}
 }
 
-// find returns a pointer to l's entry, or nil when l is untracked.
+// set returns line l's holder words for writing, first growing the table
+// to cover l.
 //
 //o2:hotpath
-func (d *Directory) find(l cache.Line) *entry {
-	if i := d.findSlot(l); i >= 0 {
-		return &d.tab[i]
-	}
-	return nil
+func (d *Directory) set(l cache.Line) []uint64 {
+	d.cover(l)
+	i := int(l) * d.nwords
+	return d.words[i : i+d.nwords : i+d.nwords]
 }
 
-// ensureIdx returns the slot index of l's entry, claiming an empty slot
-// when the line is untracked. In a narrow table the caller must set at
-// least one holder bit before the next table operation (holders == 0 marks
-// an empty slot); a wide table is occupied the moment the slot is claimed
-// (owner leaves ownerEmpty), and the caller must still add a holder or the
-// entry leaks.
+// get returns line l's holder words for reading, or nil when l lies
+// beyond the table and so has no holders.
 //
 //o2:hotpath
-func (d *Directory) ensureIdx(l cache.Line) int {
-	if d.count >= d.maxLoad {
-		d.grow()
+func (d *Directory) get(l cache.Line) []uint64 {
+	if uint64(l) >= uint64(len(d.owner)) {
+		return nil
 	}
-	i := hashLine(l) & d.mask
-	if d.extw == 0 {
-		for {
-			e := &d.tab[i]
-			if e.holders == 0 {
-				e.line = l
-				e.owner = ownerNone
-				d.count++
-				return int(i)
-			}
-			if e.line == l {
-				return int(i)
-			}
-			i = (i + 1) & d.mask
-		}
-	}
-	for {
-		e := &d.tab[i]
-		if e.owner == ownerEmpty {
-			e.line = l
-			e.owner = ownerNone
-			d.count++
-			return int(i)
-		}
-		if e.line == l {
-			return int(i)
-		}
-		i = (i + 1) & d.mask
-	}
+	i := int(l) * d.nwords
+	return d.words[i : i+d.nwords : i+d.nwords]
 }
 
-// ensure returns l's entry, claiming an empty slot when the line is
-// untracked; see ensureIdx for the occupancy contract.
-//
-//o2:hotpath
-func (d *Directory) ensure(l cache.Line) *entry {
-	return &d.tab[d.ensureIdx(l)]
-}
-
-// occupied reports whether slot i holds a live entry.
-func (d *Directory) occupied(i uint64) bool {
-	if d.extw == 0 {
-		return d.tab[i].holders != 0
+// grow doubles the table until it covers line l (at least to the next
+// power of two above l), panicking for a line at or beyond MaxLines.
+func (d *Directory) grow(l cache.Line) {
+	if l >= MaxLines {
+		panic(panicLineBeyondMax)
 	}
-	return d.tab[i].owner != ownerEmpty
+	n := min(max(2*len(d.owner), 1<<bits.Len64(uint64(l))), MaxLines)
+	words := make([]uint64, n*d.nwords)
+	copy(words, d.words)
+	owner := make([]int16, n)
+	copy(owner, d.owner)
+	d.words, d.owner = words, owner
 }
 
-// extAt returns slot i's side words (wide tables only).
-func (d *Directory) extAt(i uint64) []uint64 {
-	return d.ext[i*uint64(d.extw) : (i+1)*uint64(d.extw)]
-}
-
-// clearSlot empties slot i, including its side words.
-func (d *Directory) clearSlot(i uint64) {
-	d.tab[i] = entry{}
-	if d.extw != 0 {
-		d.tab[i].owner = ownerEmpty
-		clear(d.extAt(i))
-	}
-}
-
-// empty reports whether the whole holder set of slot i is zero.
-func (d *Directory) empty(i uint64) bool {
-	if d.tab[i].holders != 0 {
-		return false
-	}
-	if d.extw != 0 {
-		for _, w := range d.extAt(i) {
-			if w != 0 {
-				return false
-			}
+// empty reports whether a holder set has no bit set.
+func empty(hs []uint64) bool {
+	for _, x := range hs {
+		if x != 0 {
+			return false
 		}
 	}
 	return true
-}
-
-func (d *Directory) grow() {
-	old := d.tab
-	oldExt := d.ext
-	oldExtw := uint64(d.extw)
-	d.initTable(len(old) * 2)
-	for i := range old {
-		if oldExtw == 0 {
-			if old[i].holders == 0 {
-				continue
-			}
-		} else if old[i].owner == ownerEmpty {
-			continue
-		}
-		j := hashLine(old[i].line) & d.mask
-		for d.occupied(j) {
-			j = (j + 1) & d.mask
-		}
-		d.tab[j] = old[i]
-		if oldExtw != 0 {
-			copy(d.extAt(j), oldExt[uint64(i)*oldExtw:(uint64(i)+1)*oldExtw])
-		}
-		d.count++
-	}
-}
-
-// deleteAt removes the entry at slot i, backward-shifting any displaced
-// entries in its probe run so later probes never traverse tombstones
-// (Knuth vol. 3, algorithm R). Side words shift with their entries.
-func (d *Directory) deleteAt(i uint64) {
-	d.count--
-	j := i
-	for {
-		j = (j + 1) & d.mask
-		if !d.occupied(j) {
-			break
-		}
-		e := d.tab[j]
-		k := hashLine(e.line) & d.mask
-		// Shift e back into the hole when its home slot k precedes the
-		// hole cyclically — i.e. the hole sits inside e's probe path.
-		if (j > i && (k <= i || k > j)) || (j < i && k <= i && k > j) {
-			d.tab[i] = e
-			if d.extw != 0 {
-				copy(d.extAt(i), d.extAt(j))
-			}
-			i = j
-		}
-	}
-	d.clearSlot(i)
 }
 
 // wordBit splits a node into its set-word index and bit.
@@ -364,74 +186,49 @@ func wordBit(n Node) (w int, bit uint64) {
 	return int(n) >> 6, 1 << (uint(n) & 63)
 }
 
-// setBit sets node n's bit in slot i's holder set.
-func (d *Directory) setBit(i int, n Node) {
-	w, bit := wordBit(n)
-	if w == 0 {
-		d.tab[i].holders |= bit
-	} else {
-		d.ext[i*d.extw+w-1] |= bit
+// join sets node n's bit in holder set hs, counting the line as tracked
+// when the set was empty.
+func (d *Directory) join(hs []uint64, n Node) {
+	if empty(hs) {
+		d.count++
 	}
-}
-
-// clearBit clears node n's bit in slot i's holder set and reports whether
-// the bit was set.
-func (d *Directory) clearBit(i int, n Node) bool {
 	w, bit := wordBit(n)
-	var p *uint64
-	if w == 0 {
-		p = &d.tab[i].holders
-	} else {
-		p = &d.ext[i*d.extw+w-1]
-	}
-	was := *p&bit != 0
-	*p &^= bit
-	return was
-}
-
-// hasBit reports whether node n holds the line at slot i.
-func (d *Directory) hasBit(i int, n Node) bool {
-	w, bit := wordBit(n)
-	if w == 0 {
-		return d.tab[i].holders&bit != 0
-	}
-	return d.ext[i*d.extw+w-1]&bit != 0
+	hs[w] |= bit
 }
 
 // AddSharer records that node now holds a clean copy of line.
 func (d *Directory) AddSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	if d.extw == 0 {
-		d.ensure(l).holders |= 1 << uint(n)
-		return
-	}
-	d.setBit(d.ensureIdx(l), n)
+	d.join(d.set(l), n)
 }
 
 // SetOwner records that node holds line dirty (Modified). Any previous
 // owner mark is replaced; the node is also recorded as a holder.
 func (d *Directory) SetOwner(l cache.Line, n Node) {
 	d.checkNode(n)
-	i := d.ensureIdx(l)
-	d.setBit(i, n)
-	d.tab[i].owner = int16(n)
+	d.join(d.set(l), n)
+	d.owner[l] = int16(n) + 1
 }
 
 // RemoveSharer records that node no longer holds line (eviction or
-// invalidation). When the last holder disappears the entry is dropped —
-// the line lives only in DRAM.
+// invalidation). When the last holder leaves, the line is untracked — it
+// lives only in DRAM.
 func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 	d.checkNode(n)
-	i := d.findSlot(l)
-	if i < 0 {
+	hs := d.get(l)
+	if hs == nil {
 		return
 	}
-	d.clearBit(i, n)
-	if d.tab[i].owner == int16(n) {
-		d.tab[i].owner = ownerNone
+	w, bit := wordBit(n)
+	if hs[w]&bit == 0 {
+		return
 	}
-	if d.empty(uint64(i)) {
-		d.deleteAt(uint64(i))
+	hs[w] &^= bit
+	if d.owner[l] == int16(n)+1 {
+		d.owner[l] = 0
+	}
+	if empty(hs) {
+		d.count--
 	}
 }
 
@@ -443,84 +240,85 @@ func (d *Directory) RemoveSharer(l cache.Line, n Node) {
 func (d *Directory) MoveSharer(l cache.Line, from, to Node) (held bool) {
 	d.checkNode(from)
 	d.checkNode(to)
-	i := d.findSlot(l)
-	if i < 0 {
+	hs := d.set(l)
+	fw, fbit := wordBit(from)
+	tw, tbit := wordBit(to)
+	held = hs[tw]&tbit != 0
+	if hs[fw]&fbit == 0 {
 		// Nothing to move; treat as a plain add so callers need not
 		// special-case races between eviction paths.
-		d.AddSharer(l, to)
-		return false
-	}
-	held = d.hasBit(i, to)
-	if !d.hasBit(i, from) {
-		d.setBit(i, to)
+		d.join(hs, to)
 		return held
 	}
-	wasOwner := d.tab[i].owner == int16(from)
-	d.clearBit(i, from)
-	d.setBit(i, to)
-	if wasOwner {
-		d.tab[i].owner = int16(to)
+	hs[fw] &^= fbit
+	hs[tw] |= tbit
+	if d.owner[l] == int16(from)+1 {
+		d.owner[l] = int16(to) + 1
 	}
 	return held
 }
 
-// JoinMask records n as a clean holder of line and returns the holder
-// mask from before the join, in one table probe. It is the L2-miss fill's
-// only directory access: the returned set says whether the chip's L3 holds
-// the line and, if not, which cache is the nearest source, while the join
-// records the requester's new copy. Narrow directories only; the wide
-// fill path is JoinWords.
-//
-//o2:hotpath
-func (d *Directory) JoinMask(l cache.Line, n Node) (prev uint64) {
-	if d.extw != 0 {
-		panicNarrowOnly("JoinMask")
-	}
-	d.checkNode(n)
-	e := d.ensure(l)
-	prev = e.holders
-	e.holders = prev | 1<<uint(n)
-	return prev
-}
-
-// JoinWords is JoinMask at any width: it records n as a clean holder of
-// line, writes the holder set from before the join into prev (which must
-// have at least NumWords elements, fully overwritten), and reports whether
-// that set was non-empty. prev is caller-owned scratch; the call
-// allocates nothing.
+// JoinWords records n as a clean holder of line, writes the holder set
+// from before the join into prev (which must have at least NumWords
+// elements, fully overwritten), and reports whether that set was
+// non-empty. It is the L2-miss fill's only directory access: the returned
+// set says whether the chip's L3 holds the line and, if not, which cache
+// is the nearest source, while the join records the requester's new copy.
+// prev is caller-owned scratch; the call allocates nothing.
 //
 //o2:hotpath
 func (d *Directory) JoinWords(l cache.Line, n Node, prev []uint64) bool {
 	d.checkNode(n)
-	i := d.ensureIdx(l)
-	prev[0] = d.tab[i].holders
-	any := prev[0] != 0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		prev[w+1] = x
-		any = any || x != 0
+	hs := d.set(l)
+	held := false
+	for w, x := range hs {
+		prev[w] = x
+		held = held || x != 0
 	}
-	d.setBit(i, n)
-	return any
+	if !held {
+		d.count++
+	}
+	w, bit := wordBit(n)
+	hs[w] |= bit
+	return held
+}
+
+// JoinMask is JoinWords on a one-word (≤64-node) directory: it records n
+// as a clean holder of line and returns the holder mask from before the
+// join. It panics on a wider directory.
+//
+//o2:hotpath
+func (d *Directory) JoinMask(l cache.Line, n Node) (prev uint64) {
+	if d.nwords != 1 {
+		panic(panicOneWordOnly)
+	}
+	d.checkNode(n)
+	d.cover(l)
+	prev = d.words[l]
+	if prev == 0 {
+		d.count++
+	}
+	d.words[l] = prev | 1<<uint(n)
+	return prev
 }
 
 // Holders returns the nodes holding line, in ascending order. The result
-// is freshly allocated; the hot paths use HolderMask or CopyHolderWords
-// instead.
+// is freshly allocated; the hot paths use CopyHolderWords instead.
 func (d *Directory) Holders(l cache.Line) []Node {
-	i := d.findSlot(l)
-	if i < 0 {
+	hs := d.get(l)
+	if empty(hs) {
 		return nil
 	}
-	out := make([]Node, 0, d.sharerCountAt(i))
-	out = d.appendWord(out, d.tab[i].holders, 0)
-	for w := 0; w < d.extw; w++ {
-		out = d.appendWord(out, d.ext[i*d.extw+w], (w+1)*64)
+	out := make([]Node, 0, sharerCount(hs))
+	for w, x := range hs {
+		out = appendWord(out, x, w*64)
 	}
 	return out
 }
 
-func (d *Directory) appendWord(dst []Node, m uint64, base int) []Node {
+// appendWord appends the nodes of one holder word covering nodes
+// [base, base+64), in ascending order.
+func appendWord(dst []Node, m uint64, base int) []Node {
 	for m != 0 {
 		n := bits.TrailingZeros64(m)
 		dst = append(dst, Node(base+n))
@@ -529,125 +327,110 @@ func (d *Directory) appendWord(dst []Node, m uint64, base int) []Node {
 	return dst
 }
 
-// HolderMask returns the raw holder bitmask (hot path for the machine
-// model on ≤64-node directories; avoids allocation). Wide directories must
-// use CopyHolderWords — a single word cannot represent their holder sets.
+// HolderMask returns line's holder set as one bitmask: CopyHolderWords
+// on a one-word (≤64-node) directory. It panics on a wider one.
 //
 //o2:hotpath
 func (d *Directory) HolderMask(l cache.Line) uint64 {
-	if d.extw != 0 {
-		panicNarrowOnly("HolderMask")
+	if d.nwords != 1 {
+		panic(panicOneWordOnly)
 	}
-	e := d.find(l)
-	if e == nil {
+	if uint64(l) >= uint64(len(d.owner)) {
 		return 0
 	}
-	return e.holders
+	return d.words[l]
 }
 
 // CopyHolderWords copies line's holder set into dst, which must have at
 // least NumWords elements, and reports whether the line has any holder.
-// dst[:NumWords] is fully overwritten. This is the wide-directory sibling
-// of HolderMask: callers pass preallocated scratch so the fan-out paths
-// allocate nothing.
+// dst[:NumWords] is fully overwritten; callers pass preallocated scratch
+// so the fan-out paths allocate nothing.
 //
 //o2:hotpath
 func (d *Directory) CopyHolderWords(l cache.Line, dst []uint64) bool {
-	i := d.findSlot(l)
-	if i < 0 {
-		for w := 0; w < d.nwords; w++ {
-			dst[w] = 0
-		}
+	hs := d.get(l)
+	if hs == nil {
+		clear(dst[:d.nwords])
 		return false
 	}
-	dst[0] = d.tab[i].holders
-	any := dst[0] != 0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		dst[w+1] = x
-		any = any || x != 0
-	}
-	return any
+	copy(dst, hs)
+	return !empty(hs)
 }
 
-// HasHolders reports whether any node holds line. Unlike HolderMask it is
-// valid at every directory width.
+// HasHolders reports whether any node holds line.
 //
 //o2:hotpath
 func (d *Directory) HasHolders(l cache.Line) bool {
-	return d.findSlot(l) >= 0
+	return !empty(d.get(l))
 }
 
 // Holds reports whether node holds line.
 func (d *Directory) Holds(l cache.Line, n Node) bool {
 	d.checkNode(n)
-	i := d.findSlot(l)
-	return i >= 0 && d.hasBit(i, n)
+	hs := d.get(l)
+	if hs == nil {
+		return false
+	}
+	w, bit := wordBit(n)
+	return hs[w]&bit != 0
 }
 
 // Owner returns the node holding line dirty, or NoOwner.
 func (d *Directory) Owner(l cache.Line) Node {
-	e := d.find(l)
-	if e == nil {
+	if uint64(l) >= uint64(len(d.owner)) {
 		return NoOwner
 	}
-	return Node(e.owner)
+	return Node(d.owner[l]) - 1
 }
 
-// AcquireExclusive makes keep the sole holder and dirty owner of line in a
-// single table probe — InvalidateExcept followed by SetOwner, fused for
-// the store path — and returns the bitmask of nodes that lost their
-// copies. The common case (keep already the sole owner) touches one entry
-// and allocates nothing. Narrow directories only; the wide store path is
-// AcquireExclusiveWords.
+// AcquireExclusive is AcquireExclusiveWords on a one-word (≤64-node)
+// directory: it makes keep the sole holder and dirty owner of line and
+// returns the mask of nodes that lost their copies. It panics on a wider
+// directory.
 //
 //o2:hotpath
 func (d *Directory) AcquireExclusive(l cache.Line, keep Node) (invalidated uint64) {
-	if d.extw != 0 {
-		panicNarrowOnly("AcquireExclusive")
+	if d.nwords != 1 {
+		panic(panicOneWordOnly)
 	}
 	d.checkNode(keep)
-	e := d.ensure(l)
-	invalidated = e.holders &^ (1 << uint(keep))
-	e.holders = 1 << uint(keep)
-	e.owner = int16(keep)
-	return invalidated
+	d.cover(l)
+	prev := d.words[l]
+	if prev == 0 {
+		d.count++
+	}
+	d.words[l] = 1 << uint(keep)
+	d.owner[l] = int16(keep) + 1
+	return prev &^ (1 << uint(keep))
 }
 
-// AcquireExclusiveWords is AcquireExclusive at any width: it makes keep
-// the sole holder and dirty owner of line, writes the invalidated holder
-// words into inv (which must have at least NumWords elements, fully
-// overwritten), and reports whether any node was invalidated. inv is
-// caller-owned scratch; the call allocates nothing.
+// AcquireExclusiveWords makes keep the sole holder and dirty owner of
+// line — InvalidateExcept followed by SetOwner, fused for the store path —
+// writes the invalidated holder set into inv (which must have at least
+// NumWords elements, fully overwritten), and reports whether any node was
+// invalidated. inv is caller-owned scratch; the call allocates nothing.
 //
 //o2:hotpath
 func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64) bool {
 	d.checkNode(keep)
-	i := d.ensureIdx(l)
+	hs := d.set(l)
 	kw, kbit := wordBit(keep)
-	e := &d.tab[i]
-	w0 := e.holders
-	if kw == 0 {
-		w0 &^= kbit
-		e.holders = kbit
-	} else {
-		e.holders = 0
-	}
-	inv[0] = w0
-	any := w0 != 0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		if w+1 == kw {
+	held, others := false, false
+	for w, x := range hs {
+		held = held || x != 0
+		if w == kw {
 			x &^= kbit
-			d.ext[i*d.extw+w] = kbit
-		} else {
-			d.ext[i*d.extw+w] = 0
 		}
-		inv[w+1] = x
-		any = any || x != 0
+		inv[w] = x
+		others = others || x != 0
+		hs[w] = 0
 	}
-	e.owner = int16(keep)
-	return any
+	hs[kw] = kbit
+	if !held {
+		d.count++
+	}
+	d.owner[l] = int16(keep) + 1
+	return others
 }
 
 // InvalidateExcept removes every holder of line other than keep and returns
@@ -655,50 +438,38 @@ func (d *Directory) AcquireExclusiveWords(l cache.Line, keep Node, inv []uint64)
 // write path: a store must make the writer the sole holder.
 func (d *Directory) InvalidateExcept(l cache.Line, keep Node) []Node {
 	d.checkNode(keep)
-	i := d.findSlot(l)
-	if i < 0 {
+	hs := d.get(l)
+	if empty(hs) {
 		return nil
 	}
 	kw, kbit := wordBit(keep)
 	var out []Node
-	w0 := d.tab[i].holders
-	keepMask0 := uint64(0)
-	if kw == 0 {
-		keepMask0 = w0 & kbit
-	}
-	out = d.appendWord(out, w0&^keepMask0, 0)
-	d.tab[i].holders = keepMask0
-	for w := 0; w < d.extw; w++ {
-		x := d.ext[i*d.extw+w]
-		keepMask := uint64(0)
-		if w+1 == kw {
-			keepMask = x & kbit
+	for w, x := range hs {
+		var k uint64
+		if w == kw {
+			k = x & kbit
 		}
-		out = d.appendWord(out, x&^keepMask, (w+1)*64)
-		d.ext[i*d.extw+w] = keepMask
+		out = appendWord(out, x&^k, w*64)
+		hs[w] = k
 	}
-	if d.tab[i].owner != int16(keep) {
-		d.tab[i].owner = ownerNone
+	if d.owner[l] != int16(keep)+1 {
+		d.owner[l] = 0
 	}
-	if d.empty(uint64(i)) {
-		d.deleteAt(uint64(i))
+	if empty(hs) {
+		d.count--
 	}
 	return out
 }
 
 // SharerCount returns the number of holders of line.
 func (d *Directory) SharerCount(l cache.Line) int {
-	i := d.findSlot(l)
-	if i < 0 {
-		return 0
-	}
-	return d.sharerCountAt(i)
+	return sharerCount(d.get(l))
 }
 
-func (d *Directory) sharerCountAt(i int) int {
-	n := bits.OnesCount64(d.tab[i].holders)
-	for w := 0; w < d.extw; w++ {
-		n += bits.OnesCount64(d.ext[i*d.extw+w])
+func sharerCount(hs []uint64) int {
+	n := 0
+	for _, x := range hs {
+		n += bits.OnesCount64(x)
 	}
 	return n
 }

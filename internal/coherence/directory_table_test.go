@@ -8,10 +8,10 @@ import (
 	"repro/internal/stats"
 )
 
-// These tests pin the directory's observable semantics ahead of (and
-// through) the open-addressed table rewrite: any change to sharer
-// bookkeeping, invalidation fan-out, dirty-owner transfer, or replicated
-// read-only lines shows up here before it can disturb simulation results.
+// These tests pin the directory's observable semantics through every
+// rewrite of its table: any change to sharer bookkeeping, invalidation
+// fan-out, dirty-owner transfer, or replicated read-only lines shows up
+// here before it can disturb simulation results.
 
 // dirOp is one scripted directory operation for the table-driven tests.
 type dirOp struct {
@@ -290,8 +290,8 @@ func TestReplicatedReadOnlyLines(t *testing.T) {
 // TestDirectoryMatchesModel drives the directory and a map-based reference
 // model through a long random schedule, checking the values JoinMask and
 // MoveSharer return along the way, over enough distinct lines to force
-// table growth and deletion-heavy churn, then checks full agreement. This
-// is the heavyweight pin for the open-addressed rewrite.
+// table growth and churn through empty lines, then checks full agreement.
+// This is the heavyweight pin for every rewrite of the table.
 func TestDirectoryMatchesModel(t *testing.T) {
 	const (
 		nodes  = 20
@@ -423,4 +423,114 @@ func checkLine(t *testing.T, d *Directory, l cache.Line, holders []Node, owner N
 			t.Fatalf("line %d: Holds(%d) = false, want true", l, n)
 		}
 	}
+}
+
+// TestDenseTableGrowth records lines far past the table's first size,
+// checks that the table covers them and that the lines between, and lines
+// beyond its end, read as untracked; then checks that Reset keeps the
+// grown capacity and leaves every line clean.
+func TestDenseTableGrowth(t *testing.T) {
+	d := NewDirectory(20)
+	far := []cache.Line{0, 5, 1000, 70_000, 1 << 20}
+	for i, l := range far {
+		d.SetOwner(l, Node(i))
+		d.AddSharer(l, 19)
+	}
+	if len(d.owner) <= int(far[len(far)-1]) {
+		t.Fatalf("table covers %d lines, below line %d", len(d.owner), far[len(far)-1])
+	}
+	if d.TrackedLines() != len(far) {
+		t.Fatalf("TrackedLines = %d, want %d", d.TrackedLines(), len(far))
+	}
+	for i, l := range far {
+		checkLine(t, d, l, []Node{Node(i), 19}, Node(i))
+	}
+	for _, l := range []cache.Line{1, 999, 1001, 69_999, 1<<20 - 1, 1<<20 + 1} {
+		checkLine(t, d, l, nil, NoOwner)
+	}
+	beyond := cache.Line(len(d.owner))
+	checkLine(t, d, beyond, nil, NoOwner)
+	words := []uint64{^uint64(0)}
+	if d.CopyHolderWords(beyond, words) || words[0] != 0 {
+		t.Fatalf("CopyHolderWords beyond the table = %#x", words[0])
+	}
+	if got := d.InvalidateExcept(beyond, 0); got != nil {
+		t.Fatalf("InvalidateExcept beyond the table = %v", got)
+	}
+	d.RemoveSharer(beyond, 0)
+	if len(d.owner) != int(beyond) {
+		t.Fatal("a read or removal beyond the table grew it")
+	}
+
+	capacity := len(d.owner)
+	d.Reset()
+	if len(d.owner) != capacity || len(d.words) != capacity*d.NumWords() {
+		t.Fatalf("Reset changed the table from %d to %d lines", capacity, len(d.owner))
+	}
+	if d.TrackedLines() != 0 {
+		t.Fatalf("TrackedLines = %d after Reset", d.TrackedLines())
+	}
+	for _, l := range far {
+		checkLine(t, d, l, nil, NoOwner)
+	}
+	for i, x := range d.words {
+		if x != 0 || d.owner[i/d.NumWords()] != 0 {
+			t.Fatalf("slot %d not clean after Reset", i)
+		}
+	}
+}
+
+// TestTrackedLinesTransitions steps one line through every empty ↔
+// non-empty transition each mutating API can make and checks the count
+// after each step.
+func TestTrackedLinesTransitions(t *testing.T) {
+	d := NewDirectory(8)
+	words := make([]uint64, d.NumWords())
+	steps := []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"add to an empty line", func() { d.AddSharer(3, 1) }, 1},
+		{"add a second holder", func() { d.AddSharer(3, 2) }, 1},
+		{"remove one of two", func() { d.RemoveSharer(3, 1) }, 1},
+		{"remove a non-holder", func() { d.RemoveSharer(3, 5) }, 1},
+		{"remove the last", func() { d.RemoveSharer(3, 2) }, 0},
+		{"remove from an empty line", func() { d.RemoveSharer(3, 2) }, 0},
+		{"set owner on an empty line", func() { d.SetOwner(3, 4) }, 1},
+		{"invalidate all but a non-holder", func() { d.InvalidateExcept(3, 0) }, 0},
+		{"join an empty line", func() { d.JoinWords(3, 6, words) }, 1},
+		{"join a held line", func() { d.JoinMask(3, 7) }, 1},
+		{"acquire a second, empty line", func() { d.AcquireExclusiveWords(9, 1, words) }, 2},
+		{"acquire a held line", func() { d.AcquireExclusive(3, 6) }, 2},
+		{"move from a non-holder onto an empty line", func() { d.MoveSharer(12, 0, 5) }, 3},
+		{"move the only holder", func() { d.MoveSharer(12, 5, 6) }, 3},
+		{"invalidate all but the holder", func() { d.InvalidateExcept(12, 6) }, 3},
+		{"reset", func() { d.Reset() }, 0},
+	}
+	for _, s := range steps {
+		s.do()
+		if got := d.TrackedLines(); got != s.want {
+			t.Fatalf("after %s: TrackedLines = %d, want %d", s.name, got, s.want)
+		}
+	}
+}
+
+// TestLineCeiling pins the growth bound: recording a line at MaxLines
+// panics with the constant message instead of growing the table, and
+// reading one is an untracked line.
+func TestLineCeiling(t *testing.T) {
+	d := NewDirectory(8)
+	if d.HasHolders(MaxLines) || d.Owner(MaxLines) != NoOwner {
+		t.Fatal("a line at MaxLines reads as tracked")
+	}
+	defer func() {
+		if r := recover(); r != panicLineBeyondMax {
+			t.Fatalf("recovered %v, want %q", r, panicLineBeyondMax)
+		}
+		if len(d.owner) != 0 {
+			t.Fatalf("the refused line grew the table to %d lines", len(d.owner))
+		}
+	}()
+	d.AddSharer(MaxLines, 0)
 }

@@ -8,11 +8,9 @@ import (
 	"repro/internal/stats"
 )
 
-// These tests pin the multi-word sharer-set extension: directories wider
-// than 64 nodes must implement exactly the semantics the single-word table
-// always had, and the narrow table must be bit-for-bit unaffected by the
-// rewrite (the ≤64-node code path is the one every existing golden runs
-// through).
+// These tests pin the multi-word sharer sets: directories wider than 64
+// nodes must implement exactly the semantics of a one-word directory,
+// whose holder sets every ≤64-node golden runs through.
 
 // wideRef is the map-based reference model for a directory of any width.
 type wideRef struct {
@@ -181,10 +179,10 @@ func TestWideDirectoryMatchesModel(t *testing.T) {
 // TestWideMatchesNarrow runs one random schedule over nodes < 64 against
 // both a narrow (64-node) and a wide (80-node) directory and demands
 // identical observable state throughout, including identical invalidation
-// sets from the two store-path APIs, identical pre-join holder sets from
-// JoinMask and JoinWords, and identical MoveSharer reports. This is the model-parity pin for the
-// rewrite: configurations that fit one word must behave exactly as the
-// single-word implementation did.
+// sets from the one-word and word store-path APIs, identical pre-join
+// holder sets from JoinMask and JoinWords, and identical MoveSharer
+// reports: the one-word forms and a set's width must not change what the
+// directory records.
 func TestWideMatchesNarrow(t *testing.T) {
 	const (
 		nodes  = 60
@@ -257,9 +255,9 @@ func TestWideMatchesNarrow(t *testing.T) {
 	}
 }
 
-// TestWideReset proves Reset restores a wide table to pristine state: the
-// owner sentinels and side words must all be re-armed or later probes
-// would resurrect stale holder bits.
+// TestWideReset proves Reset restores a wide table to pristine state:
+// every holder word and owner slot must be cleared, or later probes would
+// resurrect stale holder bits.
 func TestWideReset(t *testing.T) {
 	d := NewDirectory(100)
 	for i := 0; i < 5000; i++ {
@@ -296,7 +294,7 @@ func TestDirectoryNodeCap(t *testing.T) {
 	NewDirectory(MaxNodes + 1)
 }
 
-// TestNarrowOnlyAPIsGuarded: the single-word APIs cannot represent a wide
+// TestNarrowOnlyAPIsGuarded: the one-word APIs cannot represent a wide
 // holder set; calling them on a wide directory must panic rather than
 // silently truncate.
 func TestNarrowOnlyAPIsGuarded(t *testing.T) {

@@ -101,8 +101,9 @@ type Runtime struct {
 
 	objs map[mem.Addr]*objInfo // keyed by object base address
 	// order holds the objs values in registration order. The monitor's
-	// passes walk it instead of the map, so the trace events they emit
-	// at one timestamp come out in the same order on every run.
+	// passes, the frequency policy's victim search and PackAll walk it
+	// instead of the map, so their tie-breaks and the trace events they
+	// emit at one timestamp come out the same on every run.
 	order []*objInfo
 
 	// coreLoad is the placed bytes per core; budget is the per-core

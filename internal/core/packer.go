@@ -156,10 +156,12 @@ func (oi *objInfo) opRate() float64 {
 
 // evictColderThan removes the least-beneficial placed object provided it
 // is strictly colder than oi (with head-room so two similar objects do not
-// thrash). It reports whether anything was evicted.
+// thrash). It reports whether anything was evicted. Candidates are walked
+// in registration order, so among equally cold objects the first
+// registered is the victim on every run.
 func (rt *Runtime) evictColderThan(oi *objInfo) bool {
 	var victim *objInfo
-	for _, cand := range rt.objs {
+	for _, cand := range rt.order {
 		if !cand.placed || cand == oi {
 			continue
 		}
@@ -179,10 +181,12 @@ func (rt *Runtime) evictColderThan(oi *objInfo) bool {
 // currently considered expensive: objects are sorted by descending benefit
 // (Θ(n log n), as the paper notes) and fitted first-fit onto cores in
 // index order. Existing placements are rebuilt from scratch. The monitor
-// calls this after decay frees budget; tests call it directly.
+// calls this after decay frees budget; tests call it directly. Objects
+// are unplaced in registration order, so the unplace trace events come
+// out in the same order on every run.
 func (rt *Runtime) PackAll() {
 	var candidates []*objInfo
-	for _, oi := range rt.objs {
+	for _, oi := range rt.order {
 		if oi.missEWMA > rt.opts.MissThreshold || oi.placed {
 			candidates = append(candidates, oi)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,5 +151,57 @@ func TestDecayTraceOrderDeterministic(t *testing.T) {
 	}
 	if most < 16 {
 		t.Fatalf("at most %d unplace events share a timestamp; the test needs a mass decay", most)
+	}
+}
+
+// TestTieBreaksFollowRegistrationOrder pins the two packer walks that
+// choose among equals: the frequency policy's victim among equally cold
+// placed objects, and the order in which PackAll unplaces objects (and
+// traces it). Twenty fresh runtimes register the same ten equal-rate
+// placed objects; a walk over the object map would pick a different
+// victim or unplace order on some of them.
+func TestTieBreaksFollowRegistrationOrder(t *testing.T) {
+	const nobj = 10
+	run := func() (victim string, unplaced []uint64) {
+		opts := noRebalance()
+		tr := trace.New(256)
+		opts.Tracer = tr
+		h := newHarness(t, opts)
+		objs := make([]*objInfo, nobj)
+		for i := range objs {
+			objs[i] = h.rt.info(h.alloc(t, fmt.Sprintf("obj%d", i), 64<<10).Base)
+			objs[i].missEWMA = 2 * h.rt.opts.MissThreshold
+			if !h.rt.place(objs[i]) {
+				t.Fatalf("setup: object %d did not place", i)
+			}
+		}
+		hot := h.rt.info(h.alloc(t, "hot", 64<<10).Base)
+		hot.missEWMA, hot.windowOps = 5000, 1000
+		if !h.rt.evictColderThan(hot) {
+			t.Fatal("no equally cold victim was evicted")
+		}
+		for _, oi := range objs {
+			if !oi.placed {
+				victim = oi.obj.Name
+			}
+		}
+		h.rt.PackAll()
+		for _, ev := range tr.Filter(trace.EvUnplace) {
+			unplaced = append(unplaced, ev.Subject)
+		}
+		return victim, unplaced
+	}
+	victim, unplaced := run()
+	if victim != "obj0" {
+		t.Fatalf("victim %q, want the first registered, obj0", victim)
+	}
+	if len(unplaced) != nobj {
+		t.Fatalf("%d unplace events, want %d", len(unplaced), nobj)
+	}
+	for i := 1; i < 20; i++ {
+		v, u := run()
+		if v != victim || !slices.Equal(u, unplaced) {
+			t.Fatalf("runtime %d: victim %q unplaced %x, first runtime: %q %x", i, v, u, victim, unplaced)
+		}
 	}
 }

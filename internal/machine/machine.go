@@ -102,6 +102,12 @@ func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, err
 		return nil, fmt.Errorf("machine: %d cores + %d chips = %d directory nodes exceeds the supported maximum %d",
 			n, cfg.Chips, nodes, coherence.MaxNodes)
 	}
+	if limit := max(memBytes, memLimit); (limit+cfg.L1.LineSize-1)/cfg.L1.LineSize > coherence.MaxLines {
+		// The directory is indexed by line number, so every line of the
+		// image must fit under its ceiling.
+		return nil, fmt.Errorf("machine: a %d-byte memory image has more lines than the directory's maximum %d",
+			limit, coherence.MaxLines)
+	}
 	m := &Machine{
 		cfg:      cfg,
 		img:      mem.NewImageWithLimit(memBytes, memLimit),
@@ -234,12 +240,17 @@ func (m *Machine) Store(core int, addr mem.Addr, size int, at sim.Time) sim.Cycl
 // [addr, addr+size), serialized, and returns the total latency. This is
 // the line-batched entry point the execution substrate's cost batches
 // drive: per-core state (counters, L1) is resolved once per range, not
-// once per line, and the whole common case allocates nothing.
+// once per line, and the whole common case allocates nothing. The range
+// must lie inside the memory image; a stray range panics rather than
+// grow the line-indexed directory toward it.
 //
 //o2:hotpath
 func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at sim.Time) sim.Cycles {
 	if size <= 0 {
 		return 0
+	}
+	if end := uint64(addr) + uint64(size); end > uint64(m.img.Size()) || end < uint64(addr) {
+		panic(panicOutsideImage)
 	}
 	first := cache.LineOf(addr, m.lineSize)
 	last := cache.LineOf(addr+mem.Addr(size-1), m.lineSize)
@@ -251,6 +262,10 @@ func (m *Machine) AccessRange(core int, addr mem.Addr, size int, write bool, at 
 	}
 	return total
 }
+
+// panicOutsideImage is the panic message when AccessRange is handed a
+// range that is not inside the memory image.
+const panicOutsideImage = "machine: access range outside the memory image"
 
 // accessLine is one core touching one line, resolving the per-core state
 // lineAccess wants hoisted.

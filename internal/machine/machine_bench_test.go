@@ -146,9 +146,10 @@ func (m *Machine) spillLine(core int, l cache.Line) {
 }
 
 // l2MissFills are the BenchmarkL2MissFill cases. Each setup primes a
-// machine and returns one iteration: an access that misses L2 and is
-// filled one way, then the eviction that makes the next access miss L2
-// the same way.
+// machine and returns one iteration: an access that misses L1 and is
+// served one way (an L2 hit, or an L2 miss filled from the L3, a remote
+// cache or a wide holder set), then the eviction that makes the next
+// access take the same path.
 var l2MissFills = []struct {
 	name  string
 	setup func() func()
@@ -163,6 +164,19 @@ var l2MissFills = []struct {
 		return func() {
 			at += m.Access(reader, addr, false, at)
 			m.dropLine(reader, l)
+		}
+	}},
+	{"amd16-l2-hit", func() func() {
+		// Core 0's L2 holds the line but its L1 does not: the access
+		// misses L1, hits L2 and refills L1.
+		m := MustNew(topology.AMD16(), 1<<20)
+		const addr = mem.Addr(4096)
+		l := cache.LineOf(addr, m.LineSize())
+		at := sim.Time(m.Access(0, addr, false, 0))
+		m.l1[0].Remove(l)
+		return func() {
+			at += m.Access(0, addr, false, at)
+			m.l1[0].Remove(l)
 		}
 	}},
 	{"amd16-l3-hit", func() func() {
@@ -197,9 +211,10 @@ var l2MissFills = []struct {
 	}},
 }
 
-// BenchmarkL2MissFill measures the directory-guided L2-miss fill: one
-// directory join decides between the chip's L3, a remote cache and DRAM.
-// The iteration includes the eviction that re-arms the miss.
+// BenchmarkL2MissFill measures the L1-miss path: an L2 hit, and the
+// directory-guided L2-miss fill, where one directory join decides between
+// the chip's L3, a remote cache and DRAM. The iteration includes the
+// eviction that re-arms the miss.
 func BenchmarkL2MissFill(b *testing.B) {
 	for _, fc := range l2MissFills {
 		b.Run(fc.name, func(b *testing.B) {
@@ -213,8 +228,9 @@ func BenchmarkL2MissFill(b *testing.B) {
 	}
 }
 
-// TestL2MissFillAllocs is the allocation gate on the L2-miss fill: every
-// BenchmarkL2MissFill case must run at 0 allocs/op.
+// TestL2MissFillAllocs is the allocation gate on the L1-miss path, L2
+// hits and L2-miss fills alike: every BenchmarkL2MissFill case must run
+// at 0 allocs/op.
 func TestL2MissFillAllocs(t *testing.T) {
 	for _, fc := range l2MissFills {
 		step := fc.setup()

@@ -223,6 +223,35 @@ func TestAccessRangePartialLines(t *testing.T) {
 	}
 }
 
+// TestAccessRangeOutsideImagePanics pins the bounds check in front of
+// the line-indexed directory: a range that is not inside the memory image
+// must panic with the constant message, not grow the directory toward a
+// stray line. A range ending exactly at the image's end is still valid.
+func TestAccessRangeOutsideImagePanics(t *testing.T) {
+	m := newAMD(t)
+	size := m.Image().Size()
+	m.Load(0, mem.Addr(size-64), 64, 0)
+	for _, tc := range []struct {
+		name string
+		addr mem.Addr
+		size int
+	}{
+		{"past the end", mem.Addr(size), 1},
+		{"straddles the end", mem.Addr(size - 32), 64},
+		{"far beyond", 1 << 60, 64},
+		{"wraps around", ^mem.Addr(0) - 8, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != panicOutsideImage {
+					t.Fatalf("recovered %v, want %q", r, panicOutsideImage)
+				}
+			}()
+			m.AccessRange(0, tc.addr, tc.size, false, 0)
+		})
+	}
+}
+
 func TestStallCyclesAccumulate(t *testing.T) {
 	m := newAMD(t)
 	lat := m.Load(0, 0, 64, 0)

@@ -27,6 +27,20 @@ func TestNewRejectsOverwideMachine(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOversizedImage: the directory is indexed by line number,
+// so an image with more lines than coherence.MaxLines is refused when the
+// machine is built instead of panicking mid-run.
+func TestNewRejectsOversizedImage(t *testing.T) {
+	cfg := topology.AMD16()
+	limit := coherence.MaxLines * cfg.L1.LineSize
+	if _, err := NewWithMemLimit(cfg, 1<<20, limit+1); err == nil {
+		t.Fatalf("NewWithMemLimit accepted a %d-byte image limit", limit+1)
+	}
+	if _, err := NewWithMemLimit(cfg, 1<<20, limit); err != nil {
+		t.Fatalf("NewWithMemLimit refused an image of exactly MaxLines lines: %v", err)
+	}
+}
+
 // TestNUMAPresetsBuild proves each NUMA preset validates and constructs,
 // with the directory width the preset implies.
 func TestNUMAPresetsBuild(t *testing.T) {
