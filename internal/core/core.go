@@ -116,7 +116,10 @@ type Runtime struct {
 	inflight map[int][]*opCtx
 
 	// process weights for the fairness extension; nil means unweighted.
-	procWeights map[int]float64
+	// procWeightSum is their total, kept by SetProcessWeight so the sum
+	// does not depend on map iteration order.
+	procWeights   map[int]float64
+	procWeightSum float64
 
 	clusterSeq int
 	mon        monitorState
@@ -171,7 +174,7 @@ func New(sys *exec.System, opts Options) *Runtime {
 		opts:     opts,
 		objs:     make(map[mem.Addr]*objInfo),
 		coreLoad: make([]int64, cfg.NumCores()),
-		budget:   int64(float64(cfg.PerCoreBudgetBytes()) * opts.BudgetFraction),
+		budget:   int64(float64(cfg.PerCoreBudgetBytes()) * budgetFraction),
 		inflight: make(map[int][]*opCtx),
 	}
 	rt.startMonitor()
@@ -199,11 +202,11 @@ func (rt *Runtime) startMonitor() {
 // the reset engine); everything observable — placements, in-flight
 // operations, process weights, stats — matches a freshly built Runtime.
 func (rt *Runtime) Reset() {
-	for k, oi := range rt.objs {
+	for _, oi := range rt.order {
 		*oi = objInfo{}
 		rt.oiPool = append(rt.oiPool, oi)
-		delete(rt.objs, k)
 	}
+	clear(rt.objs)
 	clear(rt.order)
 	rt.order = rt.order[:0]
 	for i := range rt.coreLoad {
@@ -211,6 +214,7 @@ func (rt *Runtime) Reset() {
 	}
 	clear(rt.inflight)
 	rt.procWeights = nil
+	rt.procWeightSum = 0
 	rt.clusterSeq = 0
 	// Empty (not zero) the monitor's snapshot history: the first pass
 	// after Reset must re-baseline exactly like a fresh runtime's first
@@ -369,7 +373,7 @@ func (rt *Runtime) OpEnd(t *exec.Thread) {
 		misses := float64(delta.Misses())
 		dram := float64(delta.DRAMLoads)
 		dur := float64(t.Now() - ctx.startAt)
-		a := rt.opts.MissEWMAAlpha
+		a := missEWMAAlpha
 		if oi.ops == 0 {
 			oi.missEWMA = misses
 			oi.dramEWMA = dram
@@ -393,15 +397,15 @@ func (rt *Runtime) OpEnd(t *exec.Thread) {
 	}
 	migrated, origin := ctx.migrated, ctx.origin
 	rt.putCtx(ctx) // all fields consumed; recycle before any migration
-	if migrated && (nested || rt.opts.ReturnToOrigin) {
+	if migrated && nested {
 		// A nested operation must resume on the enclosing operation's
-		// core; a top-level operation returns only when configured —
-		// by default the thread is simply "ready to run on another
-		// core" (paper §4) and continues from where the object lives.
+		// core. A top-level operation does not return: the thread is
+		// "ready to run on another core" (paper §4) and continues from
+		// where the object lives.
 		t.MigrateTo(origin)
 		return
 	}
-	if migrated && !nested {
+	if migrated {
 		rt.disperse(t)
 	}
 }
@@ -455,6 +459,7 @@ func (rt *Runtime) SetProcessWeight(pid int, w float64) {
 	if rt.procWeights == nil {
 		rt.procWeights = make(map[int]float64)
 	}
+	rt.procWeightSum += w - rt.procWeights[pid]
 	rt.procWeights[pid] = w
 }
 
@@ -463,15 +468,11 @@ func (rt *Runtime) processBudget(pid int) int64 {
 	if rt.procWeights == nil {
 		return rt.budget
 	}
-	var total float64
-	for _, w := range rt.procWeights {
-		total += w
-	}
 	w, ok := rt.procWeights[pid]
-	if !ok || total == 0 {
+	if !ok || rt.procWeightSum == 0 {
 		return rt.budget
 	}
-	return int64(float64(rt.budget) * w / total)
+	return int64(float64(rt.budget) * w / rt.procWeightSum)
 }
 
 // processLoad returns the bytes pid has placed on core.

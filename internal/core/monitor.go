@@ -162,9 +162,9 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 	var overloaded, spare []coreUtil
 	for _, u := range utils {
 		switch {
-		case u.idleFrac < rt.opts.IdleFracLow && rt.placedCount(u.core) > 1:
+		case u.idleFrac < idleFracLow && rt.placedCount(u.core) > 1:
 			overloaded = append(overloaded, u)
-		case u.idleFrac > rt.opts.IdleFracHigh:
+		case u.idleFrac > idleFracHigh:
 			spare = append(spare, u)
 		}
 	}
@@ -182,7 +182,7 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 	moved := 0
 	si := 0
 	for _, o := range overloaded {
-		if moved >= rt.opts.MaxMovesPerRebalance || si >= len(spare) {
+		if moved >= maxMovesPerRebalance || si >= len(spare) {
 			break
 		}
 		// Move half of the overloaded core's objects, hottest first:
@@ -194,7 +194,7 @@ func (rt *Runtime) balanceLoad(deltas []perfctr.Counters, elapsed sim.Time) int 
 		sort.Slice(objs, func(i, j int) bool { return objs[i].opRate() > objs[j].opRate() })
 		toMove := len(objs) / 2
 		for _, oi := range objs[:toMove] {
-			if moved >= rt.opts.MaxMovesPerRebalance || si >= len(spare) {
+			if moved >= maxMovesPerRebalance || si >= len(spare) {
 				break
 			}
 			dst := spare[si].core

@@ -94,9 +94,11 @@ func (rt *Runtime) fits(oi *objInfo, core int) bool {
 	return true
 }
 
-// clusterCore returns the core where cluster id is already placed.
+// clusterCore returns the core where cluster id is already placed: that
+// of its first registered placed member, when members sit on different
+// cores.
 func (rt *Runtime) clusterCore(id int) (int, bool) {
-	for _, oi := range rt.objs {
+	for _, oi := range rt.order {
 		if oi.cluster == id && oi.placed {
 			return oi.core, true
 		}

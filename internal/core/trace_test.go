@@ -205,3 +205,38 @@ func TestTieBreaksFollowRegistrationOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterJoinsFirstRegisteredMember pins clusterCore's choice when a
+// cluster's placed members sit on different cores: a newly placed member
+// joins the core of the first registered one. Twenty fresh runtimes
+// register the same members; a walk over the object map would pick a
+// different member's core on some of them.
+func TestClusterJoinsFirstRegisteredMember(t *testing.T) {
+	const nmembers = 10
+	run := func() int {
+		opts := noRebalance()
+		opts.EnableClustering = true
+		h := newHarness(t, opts)
+		addrs := make([]mem.Addr, 0, nmembers+1)
+		for i := 0; i < nmembers; i++ {
+			oi := h.rt.info(h.alloc(t, fmt.Sprintf("member%d", i), 64<<10).Base)
+			h.rt.assign(oi, (3*i+5)%h.m.NumCores())
+			addrs = append(addrs, oi.obj.Base)
+		}
+		late := h.rt.info(h.alloc(t, "late", 64<<10).Base)
+		h.rt.PlaceTogether(append(addrs, late.obj.Base)...)
+		if !h.rt.place(late) {
+			t.Fatal("late member did not place")
+		}
+		return late.core
+	}
+	first := run()
+	if want := 5; first != want {
+		t.Fatalf("late member joined core %d, want %d (the first registered member's)", first, want)
+	}
+	for i := 1; i < 20; i++ {
+		if got := run(); got != first {
+			t.Fatalf("runtime %d: late member joined core %d, first runtime: %d", i, got, first)
+		}
+	}
+}

@@ -10,10 +10,22 @@ import (
 // the determinism contracts (detrand, maporder) apply here. The façade and
 // hot-path analyzers apply everywhere.
 var resultPackages = map[string]bool{
-	"repro/internal/sim":      true,
-	"repro/internal/stats":    true,
-	"repro/internal/workload": true,
-	"repro/o2":                true,
+	"repro/internal/cache":     true,
+	"repro/internal/coherence": true,
+	"repro/internal/core":      true,
+	"repro/internal/exec":      true,
+	"repro/internal/fatfs":     true,
+	"repro/internal/machine":   true,
+	"repro/internal/mem":       true,
+	"repro/internal/perfctr":   true,
+	"repro/internal/sched":     true,
+	"repro/internal/sim":       true,
+	"repro/internal/stats":     true,
+	"repro/internal/telemetry": true,
+	"repro/internal/topology":  true,
+	"repro/internal/trace":     true,
+	"repro/internal/workload":  true,
+	"repro/o2":                 true,
 }
 
 // internalPath reports whether path names a package under repro/internal.

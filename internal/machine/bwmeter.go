@@ -2,45 +2,34 @@ package machine
 
 import "repro/internal/sim"
 
-// bwMeter models a bandwidth-limited resource with windowed accounting:
-// time is divided into fixed windows, each admitting capacity transfers;
-// transfers beyond capacity are delayed by their overflow position times
-// the service interval.
-//
-// This formulation is deliberately order-independent in the access
-// timestamp: simulated threads batch memory accesses and issue them with
-// future-dated timestamps, so a cursor-style "next free slot" model would
-// let one thread's in-flight batch delay every other thread's
-// present-time accesses. Windowed demand counting charges queueing where
-// the demand lands in time, whatever order the simulator discovers it.
-//
-// # Saturating (deficit-carry) mode
-//
-// The windowed model resets demand at every window boundary: a resource
-// offered 2× its capacity forever charges each window's overflow but
-// never builds a backlog, so sustained saturation underestimates queueing
-// — exactly the regime the big-machine NUMA experiments need to expose.
-// With carry enabled, a window that ends over capacity hands its unserved
-// excess to the next accounted window as that window's starting demand,
-// drained at capacity transfers per intervening idle window. The carry is
+// bwMeter models a bandwidth-limited resource with windowed,
+// deficit-carry accounting: time is divided into fixed windows, each
+// admitting capacity transfers; transfers beyond capacity are delayed by
+// their overflow position times the service interval, and a window that
+// ends over capacity hands its unserved excess to the next accounted
+// window as that window's starting demand, drained at capacity transfers
+// per intervening idle window. Sustained overload therefore builds a
+// backlog instead of resetting at every window boundary. The carry is
 // computed in O(1) from the most recent accounted window (headWin) — no
 // per-event allocation, no scan.
 //
-// Carry trades the strict order-independence above for backlog fidelity:
-// a window's starting demand depends on which earlier windows were
-// already accounted when it was first touched. The simulation engine is
+// Demand is counted per window, not with a cursor-style "next free slot":
+// simulated threads batch memory accesses and issue them with
+// future-dated timestamps, so a cursor would let one thread's in-flight
+// batch delay every other thread's present-time accesses. Windowed
+// counting charges queueing where the demand lands in time. The carry
+// makes a window's starting demand depend on which earlier windows were
+// already accounted when it was first touched; the simulation engine is
 // single-threaded and discovers accesses in a deterministic order, so
-// results remain exactly reproducible; the meters are reset by
+// results remain exactly reproducible. The meters are reset by
 // Machine.Reset/FlushAll so arena-reused cells start from the same blank
-// state as a fresh machine. Presets that do not opt in (everything before
-// the NUMA family) keep the legacy window-local behavior bit for bit.
+// state as a fresh machine.
 type bwMeter struct {
 	window   sim.Cycles // accounting window length
 	service  sim.Cycles // cycles per transfer
 	capacity uint32     // transfers admitted per window without delay
-	carry    bool       // saturating mode: excess demand rolls forward
-	headWin  uint64     // carry mode: highest window index accounted so far
-	headSet  bool       // carry mode: whether headWin is valid
+	headWin  uint64     // highest window index accounted so far
+	headSet  bool       // whether headWin is valid
 	ring     [64]bwSlot
 }
 
@@ -60,13 +49,6 @@ func newBWMeter(service sim.Cycles) bwMeter {
 	return m
 }
 
-// newSaturatingBWMeter is newBWMeter with deficit-carry accounting.
-func newSaturatingBWMeter(service sim.Cycles) bwMeter {
-	m := newBWMeter(service)
-	m.carry = true
-	return m
-}
-
 // reserve records one transfer at time at and returns its queueing delay.
 //
 //o2:hotpath
@@ -75,7 +57,7 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 		return 0
 	}
 	w := uint64(at) / uint64(b.window)
-	if b.carry && b.headSet && w > b.headWin && w-b.headWin >= uint64(len(b.ring)) {
+	if b.headSet && w > b.headWin && w-b.headWin >= uint64(len(b.ring)) {
 		// A future-dated access ≥64 windows past the head would alias a
 		// ring slot that may still hold the live head window's demand —
 		// materializing it would evict that count before its excess was
@@ -94,14 +76,10 @@ func (b *bwMeter) reserve(at sim.Time) sim.Cycles {
 	}
 	slot := &b.ring[w%uint64(len(b.ring))]
 	if slot.idx != w {
-		start := uint32(0)
-		if b.carry {
-			start = b.carryInto(w)
-		}
 		slot.idx = w
-		slot.count = start
+		slot.count = b.carryInto(w)
 	}
-	if b.carry && (!b.headSet || w > b.headWin) {
+	if !b.headSet || w > b.headWin {
 		b.headWin = w
 		b.headSet = true
 	}

@@ -99,13 +99,11 @@ func TestBWMeterRingReuse(t *testing.T) {
 	}
 }
 
-// --- saturating (deficit-carry) mode ---
-
 func TestBWMeterCarryRollsBacklogForward(t *testing.T) {
 	// 512 transfers into window 0 (capacity 256) leave a 256-transfer
 	// backlog. The first transfer of window 1 must see that backlog as its
 	// starting demand: delay (256+1-256)*service = 16.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 512; i++ {
 		m.reserve(0)
 	}
@@ -117,7 +115,7 @@ func TestBWMeterCarryRollsBacklogForward(t *testing.T) {
 func TestBWMeterCarryDrainsAtCapacityPerIdleWindow(t *testing.T) {
 	// Backlog 512 over capacity; after two fully idle windows (2×256
 	// drained) the meter must be clear again.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 256+512; i++ {
 		m.reserve(0)
 	}
@@ -137,7 +135,7 @@ func TestBWMeterCarryDrainsAtCapacityPerIdleWindow(t *testing.T) {
 func TestBWMeterCarryPastWindowUnaffected(t *testing.T) {
 	// Backlog never flows backward: demand accounted in window 2 must not
 	// delay a (late-discovered) access in window 1.
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 600; i++ {
 		m.reserve(sim.Time(2 * bwWindow))
 	}
@@ -147,7 +145,7 @@ func TestBWMeterCarryPastWindowUnaffected(t *testing.T) {
 }
 
 func TestBWMeterCarryResetClearsBacklog(t *testing.T) {
-	m := newSaturatingBWMeter(16)
+	m := newBWMeter(16)
 	for i := 0; i < 10_000; i++ {
 		m.reserve(0)
 	}
@@ -163,7 +161,7 @@ func TestBWMeterCarryFarFutureCannotEvictLiveHead(t *testing.T) {
 	// live window's accumulated count and teleport headWin forward, so
 	// present-time accesses in the still-live window restarted from zero
 	// — the sustained-overload backlog silently vanished.
-	m := newSaturatingBWMeter(16) // capacity 256/window
+	m := newBWMeter(16) // capacity 256/window
 	for i := 0; i < 1000; i++ {
 		m.reserve(0) // window 0 live, 744 over capacity
 	}
@@ -190,24 +188,11 @@ func TestBWMeterCarryFarFutureChargedAgainstBacklog(t *testing.T) {
 	// reaches it: with service 2048 (capacity 2/window), an excess of 200
 	// drains at 2/window and still owes 200-(65-0-1)*2 = 72 transfers of
 	// queueing 65 windows out.
-	m := newSaturatingBWMeter(2048)
+	m := newBWMeter(2048)
 	for i := 0; i < 202; i++ {
 		m.reserve(0)
 	}
 	if d, want := m.reserve(sim.Time(65*bwWindow)), sim.Cycles(73-2)*2048; d != want {
 		t.Fatalf("far-future access over live backlog delayed %d, want %d", d, want)
-	}
-}
-
-func TestBWMeterLegacyModeHasNoCarry(t *testing.T) {
-	// The default meter must keep window-local semantics: saturation in
-	// window 0 never leaks into window 1. This is what keeps the pre-NUMA
-	// presets' golden results byte-identical.
-	m := newBWMeter(16)
-	for i := 0; i < 10_000; i++ {
-		m.reserve(0)
-	}
-	if d := m.reserve(sim.Time(bwWindow)); d != 0 {
-		t.Fatalf("legacy meter carried %d cycles across windows", d)
 	}
 }

@@ -119,17 +119,13 @@ func NewWithMemLimit(cfg topology.Config, memBytes, memLimit int) (*Machine, err
 		dram:     make([]bwMeter, cfg.Chips),
 		lineSize: cfg.L1.LineSize,
 	}
-	newMeter := newBWMeter
-	if cfg.Lat.SaturatingBW {
-		newMeter = newSaturatingBWMeter
-	}
 	for i := range m.dram {
-		m.dram[i] = newMeter(cfg.Lat.DRAMServiceInterval)
+		m.dram[i] = newBWMeter(cfg.Lat.DRAMServiceInterval)
 	}
 	if cfg.Lat.LinkServiceInterval > 0 && cfg.Chips > 1 {
 		m.link = make([]bwMeter, cfg.Chips)
 		for i := range m.link {
-			m.link[i] = newMeter(cfg.Lat.LinkServiceInterval)
+			m.link[i] = newBWMeter(cfg.Lat.LinkServiceInterval)
 		}
 	}
 	if w := m.dir.NumWords(); w > 1 {

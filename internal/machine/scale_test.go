@@ -110,41 +110,53 @@ func TestWideMachineCoherence(t *testing.T) {
 	}
 }
 
-// TestSaturatingMetersChargeAndReset drives a NUMA machine's DRAM
-// controllers past capacity, checks that bw-stall counters record the
-// queueing, then proves Machine.Reset returns the meters to a state
-// byte-identical to a fresh machine's: replaying the same access schedule
-// yields the same latencies and counters.
+// TestSaturatingMetersChargeAndReset drives a machine's DRAM controllers
+// past capacity, checks that bw-stall counters record the queueing and
+// that the backlog carries into the next accounting window, then proves
+// Machine.Reset returns the meters to a state byte-identical to a fresh
+// machine's: replaying the same access schedule yields the same latencies
+// and counters. AMD16 is the paper's machine; NUMA64 adds link meters.
 func TestSaturatingMetersChargeAndReset(t *testing.T) {
-	cfg := topology.NUMA64()
-	run := func(m *Machine) (total sim.Cycles) {
-		// A strided read sweep much larger than the caches, issued at a
-		// single timestamp so offered traffic lands in one accounting
-		// window and saturates the controllers.
-		base := mem.Addr(1 << 16)
-		for i := 0; i < 20_000; i++ {
-			addr := base + mem.Addr(i*m.LineSize())
-			total += m.Access(i%m.NumCores(), addr, false, 0)
-		}
-		return total
-	}
-	fresh, err := New(cfg, 1<<26)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := run(fresh)
-	if q := fresh.Counters().Total().DRAMQueueCycles; q == 0 {
-		t.Fatal("saturating sweep charged no DRAM queueing")
-	}
-	wantCtr := fresh.Counters().Total()
+	for _, cfg := range []topology.Config{topology.AMD16(), topology.NUMA64()} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			run := func(m *Machine) (total sim.Cycles) {
+				// A strided read sweep much larger than the caches, issued
+				// at a single timestamp so offered traffic lands in one
+				// accounting window and saturates the controllers.
+				base := mem.Addr(1 << 16)
+				for i := 0; i < 20_000; i++ {
+					addr := base + mem.Addr(i*m.LineSize())
+					total += m.Access(i%m.NumCores(), addr, false, 0)
+				}
+				return total
+			}
+			fresh, err := New(cfg, 1<<26)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := run(fresh)
+			if q := fresh.Counters().Total().DRAMQueueCycles; q == 0 {
+				t.Fatal("saturating sweep charged no DRAM queueing")
+			}
+			wantCtr := fresh.Counters().Total()
 
-	// Same machine, after Reset: must replay identically.
-	fresh.Reset()
-	if got := run(fresh); got != want {
-		t.Fatalf("post-Reset replay cost %d cycles, fresh run cost %d", got, want)
-	}
-	if got := fresh.Counters().Total(); got != wantCtr {
-		t.Fatalf("post-Reset counters diverge:\n got %+v\nwant %+v", got, wantCtr)
+			// One more DRAM fill in the next window queues behind the
+			// backlog the saturated window left unserved.
+			next := mem.Addr(1<<16 + 20_000*fresh.LineSize())
+			fresh.Access(0, next, false, sim.Time(bwWindow))
+			if q := fresh.Counters().Total().DRAMQueueCycles; q == wantCtr.DRAMQueueCycles {
+				t.Fatal("backlog of a saturated window did not carry into the next one")
+			}
+
+			// Same machine, after Reset: must replay identically.
+			fresh.Reset()
+			if got := run(fresh); got != want {
+				t.Fatalf("post-Reset replay cost %d cycles, fresh run cost %d", got, want)
+			}
+			if got := fresh.Counters().Total(); got != wantCtr {
+				t.Fatalf("post-Reset counters diverge:\n got %+v\nwant %+v", got, wantCtr)
+			}
+		})
 	}
 }
 

@@ -14,60 +14,27 @@ import (
 	"repro/internal/stats"
 )
 
-// ArrivalProcess selects how request arrival instants are spaced.
-type ArrivalProcess int
-
-const (
-	// PoissonArrivals draws independent exponential interarrival gaps —
-	// the memoryless arrival stream of a large population of independent
-	// clients, and the standard open-loop model.
-	PoissonArrivals ArrivalProcess = iota
-	// UniformArrivals spaces arrivals exactly one mean gap apart. The
-	// stream is deterministic even across seeds, which isolates queueing
-	// effects caused by service-time variance from those caused by
-	// arrival burstiness.
-	UniformArrivals
-)
-
-// String returns the process's report name.
-func (p ArrivalProcess) String() string {
-	switch p {
-	case UniformArrivals:
-		return "uniform"
-	case PoissonArrivals:
-		return "poisson"
-	default:
-		return fmt.Sprintf("arrival(%d)", int(p))
-	}
-}
-
-// ArrivalTimes returns n nondecreasing absolute arrival instants after
-// start, with mean interarrival gap meanGap cycles. Poisson gaps come from
-// rng (one Float64 draw per request, so the stream is a pure function of
-// the seed); uniform spacing never touches rng. Gaps accumulate in float64
-// before rounding, so spacing error does not compound across requests.
-func ArrivalTimes(kind ArrivalProcess, start sim.Time, meanGap float64, n int, rng *stats.RNG) ([]sim.Time, error) {
+// ArrivalTimes returns n nondecreasing absolute Poisson arrival instants
+// after start, with mean interarrival gap meanGap cycles: the memoryless
+// arrival stream of a large population of independent clients, and the
+// standard open-loop model. Gaps come from rng (one Float64 draw per
+// request, so the stream is a pure function of the seed) and accumulate
+// in float64 before rounding, so spacing error does not compound across
+// requests.
+func ArrivalTimes(start sim.Time, meanGap float64, n int, rng *stats.RNG) ([]sim.Time, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("workload: ArrivalTimes count %d must be non-negative", n)
 	}
 	if math.IsNaN(meanGap) || math.IsInf(meanGap, 0) || meanGap <= 0 {
 		return nil, fmt.Errorf("workload: ArrivalTimes mean gap %v must be positive and finite", meanGap)
 	}
-	if kind != PoissonArrivals && kind != UniformArrivals {
-		return nil, fmt.Errorf("workload: unknown arrival process %d", int(kind))
-	}
 	times := make([]sim.Time, n)
 	acc := 0.0
 	for i := range times {
-		switch kind {
-		case UniformArrivals:
-			acc += meanGap
-		default:
-			// Inverse-CDF exponential draw. Float64 is in [0, 1), so
-			// Log1p(-u) is finite and non-positive: gaps are always
-			// non-negative and never NaN.
-			acc -= meanGap * math.Log1p(-rng.Float64())
-		}
+		// Inverse-CDF exponential draw. Float64 is in [0, 1), so
+		// Log1p(-u) is finite and non-positive: gaps are always
+		// non-negative and never NaN.
+		acc -= meanGap * math.Log1p(-rng.Float64())
 		times[i] = start + sim.Time(acc)
 	}
 	return times, nil

@@ -8,25 +8,12 @@ import (
 	"repro/internal/stats"
 )
 
-func TestArrivalTimesUniform(t *testing.T) {
-	times, err := ArrivalTimes(UniformArrivals, 100, 250, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []sim.Time{350, 600, 850, 1100}
-	for i, w := range want {
-		if times[i] != w {
-			t.Errorf("times[%d] = %d, want %d", i, times[i], w)
-		}
-	}
-}
-
 func TestArrivalTimesPoissonDeterministic(t *testing.T) {
-	a, err := ArrivalTimes(PoissonArrivals, 0, 1000, 500, stats.NewRNG(7))
+	a, err := ArrivalTimes(0, 1000, 500, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ArrivalTimes(PoissonArrivals, 0, 1000, 500, stats.NewRNG(7))
+	b, err := ArrivalTimes(0, 1000, 500, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +22,7 @@ func TestArrivalTimesPoissonDeterministic(t *testing.T) {
 			t.Fatalf("same seed diverged at arrival %d: %d vs %d", i, a[i], b[i])
 		}
 	}
-	c, err := ArrivalTimes(PoissonArrivals, 0, 1000, 500, stats.NewRNG(8))
+	c, err := ArrivalTimes(0, 1000, 500, stats.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +40,7 @@ func TestArrivalTimesPoissonDeterministic(t *testing.T) {
 
 func TestArrivalTimesPoissonStatistics(t *testing.T) {
 	const n, gap = 20000, 500.0
-	times, err := ArrivalTimes(PoissonArrivals, 0, gap, n, stats.NewRNG(3))
+	times, err := ArrivalTimes(0, gap, n, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,28 +61,19 @@ func TestArrivalTimesPoissonStatistics(t *testing.T) {
 
 func TestArrivalTimesRejectsBadInputs(t *testing.T) {
 	rng := stats.NewRNG(1)
-	if _, err := ArrivalTimes(PoissonArrivals, 0, 0, 4, rng); err == nil {
+	if _, err := ArrivalTimes(0, 0, 4, rng); err == nil {
 		t.Error("zero mean gap accepted")
 	}
-	if _, err := ArrivalTimes(PoissonArrivals, 0, -10, 4, rng); err == nil {
+	if _, err := ArrivalTimes(0, -10, 4, rng); err == nil {
 		t.Error("negative mean gap accepted")
 	}
-	if _, err := ArrivalTimes(PoissonArrivals, 0, math.NaN(), 4, rng); err == nil {
+	if _, err := ArrivalTimes(0, math.NaN(), 4, rng); err == nil {
 		t.Error("NaN mean gap accepted")
 	}
-	if _, err := ArrivalTimes(PoissonArrivals, 0, 100, -1, rng); err == nil {
+	if _, err := ArrivalTimes(0, 100, -1, rng); err == nil {
 		t.Error("negative count accepted")
 	}
-	if _, err := ArrivalTimes(ArrivalProcess(99), 0, 100, 4, rng); err == nil {
-		t.Error("unknown arrival process accepted")
-	}
-	if times, err := ArrivalTimes(UniformArrivals, 0, 100, 0, nil); err != nil || len(times) != 0 {
+	if times, err := ArrivalTimes(0, 100, 0, rng); err != nil || len(times) != 0 {
 		t.Errorf("zero-count stream should be empty and valid, got %v, %v", times, err)
-	}
-}
-
-func TestArrivalProcessString(t *testing.T) {
-	if PoissonArrivals.String() != "poisson" || UniformArrivals.String() != "uniform" {
-		t.Errorf("arrival process names drifted: %q, %q", PoissonArrivals, UniformArrivals)
 	}
 }

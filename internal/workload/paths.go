@@ -201,7 +201,7 @@ func RunPathLookup(env *PathEnv, ann sched.Annotator, p RunParams) PathResult {
 				top, sub := env.Tops[ti], env.Subs[ti][si]
 				file := env.FileNames[rng.Intn(len(env.FileNames))]
 
-				t.Compute(sim.Cycles(p.PerOpCompute))
+				t.Compute(perOpCompute)
 
 				// Outer operation: resolve SUBxxxx within the top
 				// directory.

@@ -204,16 +204,12 @@ type RunParams struct {
 	// PhaseShiftAt is when UniformThenHotspot switches distribution.
 	PhaseShiftAt sim.Cycles
 
-	// PerOpCompute is the fixed per-lookup computation (random number
-	// generation, call overhead) in cycles.
-	PerOpCompute float64
-
-	// ReadOnly marks lookups as read-only operations, enabling the
-	// replication extension to act on hot directories.
-	ReadOnly bool
-
 	Seed uint64
 }
+
+// perOpCompute is the fixed per-lookup computation (random number
+// generation, call overhead) in cycles.
+const perOpCompute sim.Cycles = 60
 
 // DefaultRunParams returns the parameters used by the figure harnesses.
 // The warmup must cover both CoreTime's placement phase and the flushing
@@ -227,7 +223,6 @@ func DefaultRunParams() RunParams {
 		Popularity:       Uniform,
 		OscillatePeriod:  2_000_000,
 		OscillateDivisor: 16,
-		PerOpCompute:     60,
 		Seed:             1,
 	}
 }
@@ -258,9 +253,6 @@ func (p RunParams) WithDefaults() RunParams {
 	}
 	if p.OscillateDivisor == 0 {
 		p.OscillateDivisor = d.OscillateDivisor
-	}
-	if p.PerOpCompute == 0 {
-		p.PerOpCompute = d.PerOpCompute
 	}
 	return p
 }
@@ -331,12 +323,8 @@ func RunDirLookup(env *Env, ann sched.Annotator, p RunParams) Result {
 				d := env.Dirs[pickDir(rng, env, p, divisor, t.Now())]
 				name := d.Names[rng.Intn(len(d.Names))]
 
-				t.Compute(sim.Cycles(p.PerOpCompute))
-				if p.ReadOnly {
-					sched.OpStartRO(ann, t, d.Obj.Base)
-				} else {
-					ann.OpStart(t, d.Obj.Base)
-				}
+				t.Compute(perOpCompute)
+				ann.OpStart(t, d.Obj.Base)
 				t.Lock(d.Lock)
 				if _, err := env.FS.Lookup(b, d.Dir, name); err != nil {
 					panic(fmt.Sprintf("workload: lookup %s: %v", name, err))

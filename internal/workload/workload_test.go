@@ -199,7 +199,7 @@ func TestRunParamsWithDefaults(t *testing.T) {
 			func(p RunParams) bool {
 				d := DefaultRunParams()
 				return p.Threads == 4 && p.Seed == 9 &&
-					p.Measure == d.Measure && p.PerOpCompute == d.PerOpCompute
+					p.Measure == d.Measure && p.OscillateDivisor == d.OscillateDivisor
 			},
 		},
 		{

@@ -26,29 +26,18 @@ type Experiment struct {
 	Options []Option
 }
 
-// resolve returns the experiment's effective machine and parameters: the
-// zero Topology becomes AMD16 and zero RunParams fields are filled from
-// DefaultRunParams field by field (RunParams.WithDefaults). The sweep
-// engine runs its cells through Run, so Experiment.Compare and a Sweep
-// measuring the same cell resolve identically by construction.
-func (e Experiment) resolve() (Topology, RunParams, error) {
+// Run builds a fresh runtime from the experiment's options plus opts
+// (later options win), builds the tree, and measures one run. The zero
+// Topology means AMD16 and zero RunParams fields are filled from
+// DefaultRunParams field by field, as DirLookupCell does for sweep cells.
+func (e Experiment) Run(opts ...Option) (Result, error) {
+	params, err := resolveParams(e.Params)
+	if err != nil {
+		return Result{}, err
+	}
 	machine := e.Machine
 	if machine.cfg.Chips == 0 { // zero value: default to the paper's machine
 		machine = AMD16
-	}
-	params := e.Params.WithDefaults()
-	if params.Threads <= 0 {
-		return Topology{}, RunParams{}, fmt.Errorf("o2: Experiment.Params.Threads must be positive, got %d", params.Threads)
-	}
-	return machine, params, nil
-}
-
-// Run builds a fresh runtime from the experiment's options plus opts
-// (later options win), builds the tree, and measures one run.
-func (e Experiment) Run(opts ...Option) (Result, error) {
-	machine, params, err := e.resolve()
-	if err != nil {
-		return Result{}, err
 	}
 	all := append([]Option{WithTopology(machine)}, e.Options...)
 	all = append(all, opts...)
@@ -63,43 +52,16 @@ func (e Experiment) Run(opts ...Option) (Result, error) {
 	return tree.Run(params), nil
 }
 
-// runCell is Run for sweep cells: identical construction and measurement,
-// plus arena reuse. The first repeat of a cell builds the runtime and
-// tree exactly as Run does, then parks them in the cell's arena with an
-// image mark taken after the build; later repeats roll the runtime back
-// to that mark and rerun the same tree under the repeat's seed. With a
-// nil arena it is exactly Run.
-func (e Experiment) runCell(c *Cell) (Result, error) {
-	ar := c.arena
-	if ar == nil {
-		return e.Run(WithScheduler(c.Scheduler), WithSeed(c.Seed))
+// resolveParams fills p's zero fields from DefaultRunParams
+// (RunParams.WithDefaults) and rejects a non-positive thread count.
+// Experiment.Run and DirLookupCell share it, so the same cell measured
+// either way gets identical parameters.
+func resolveParams(p RunParams) (RunParams, error) {
+	p = p.WithDefaults()
+	if p.Threads <= 0 {
+		return RunParams{}, fmt.Errorf("o2: Experiment.Params.Threads must be positive, got %d", p.Threads)
 	}
-	machine, params, err := e.resolve()
-	if err != nil {
-		return Result{}, err
-	}
-	if ar.reusable() {
-		if tree, ok := ar.scenario.(*DirTree); ok {
-			ar.reset(c.Seed)
-			return tree.Run(params), nil
-		}
-	}
-	all := append([]Option{WithTopology(machine)}, e.Options...)
-	all = append(all, WithScheduler(c.Scheduler), WithSeed(c.Seed))
-	rt, err := New(all...)
-	if err != nil {
-		return Result{}, err
-	}
-	tree, err := rt.NewDirTree(e.Tree)
-	if err != nil {
-		return Result{}, err
-	}
-	// Mark after the tree is built and before the first run: everything
-	// the workload allocated is below the mark and survives resets, while
-	// per-run image allocations (thread context buffers) land above it
-	// and are rolled back.
-	ar.rt, ar.scenario, ar.mark = rt, tree, rt.mach.Image().Mark()
-	return tree.Run(params), nil
+	return p, nil
 }
 
 // Compare measures the experiment under the Baseline thread scheduler and

@@ -29,14 +29,6 @@ type Fig4Config struct {
 	DirCounts     []int
 	EntriesPerDir int
 	Params        RunParams
-	// Rebalance and Decay override the CoreTime monitor cadence; zero
-	// keeps the scheduler default (Fig4b ties them to the oscillation
-	// period instead).
-	Rebalance Cycles
-	Decay     Cycles
-	// CoreTime holds extra options applied to the CoreTime runtime at
-	// each point.
-	CoreTime []Option
 	// Repeats measures every point that many times with distinct derived
 	// seeds and reports mean/stddev (default 1).
 	Repeats int
@@ -120,33 +112,23 @@ func Fig4bSweep(cfg Fig4Config) (Fig4Config, Sweep) {
 	if cfg.Params.OscillateDivisor == 0 {
 		cfg.Params.OscillateDivisor = 16
 	}
-	if cfg.Rebalance == 0 {
-		cfg.Rebalance = cfg.Params.OscillatePeriod / 4
-	}
-	if cfg.Decay == 0 {
-		cfg.Decay = 2 * cfg.Params.OscillatePeriod
-	}
 	return cfg, fig4Sweep(cfg)
 }
 
 // fig4Sweep builds the Sweep behind a Fig. 4 run: a dirs × scheduler grid
-// over the standard directory-lookup runner.
+// over the standard directory-lookup runner. Under oscillating popularity
+// the CoreTime monitor runs four times per oscillation period and decays
+// objects idle for two periods, so the rebalancer follows the phases.
 func fig4Sweep(cfg Fig4Config) Sweep {
 	if cfg.EntriesPerDir == 0 {
 		cfg.EntriesPerDir = 1000
 	}
-	var ctOpts []Option
-	if cfg.Rebalance != 0 {
-		ctOpts = append(ctOpts, WithRebalanceInterval(cfg.Rebalance))
-	}
-	if cfg.Decay != 0 {
-		ctOpts = append(ctOpts, WithDecayWindow(cfg.Decay))
-	}
-	ctOpts = append(ctOpts, cfg.CoreTime...)
-
 	name := "fig4a"
+	var ctOpts []Option
 	if cfg.Params.Popularity == Oscillating {
 		name = "fig4b"
+		period := cfg.Params.OscillatePeriod
+		ctOpts = []Option{WithRebalanceInterval(period / 4), WithDecayWindow(2 * period)}
 	}
 	return Sweep{
 		Name: name,

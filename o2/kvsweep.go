@@ -141,19 +141,6 @@ func SkewAxis(skews ...float64) Axis {
 	return Axis{Name: "skew", Values: vals}
 }
 
-// ShardAxis sweeps the store's shard count.
-func ShardAxis(counts ...int) Axis {
-	vals := make([]AxisValue, len(counts))
-	for i, n := range counts {
-		n := n
-		vals[i] = AxisValue{
-			Label: strconv.Itoa(n),
-			Apply: func(c *Cell) { c.KV.Shards = n },
-		}
-	}
-	return Axis{Name: "shards", Values: vals}
-}
-
 // KVCell is the KV scenario's sweep runner: build the store on a runtime
 // from the cell's options (reusing the cell's arena across repeats),
 // drive the cell's load once. The engine's derived cell seed reaches both
@@ -182,13 +169,11 @@ func KVCell(c Cell) (Metrics, error) {
 }
 
 // KVConfig drives the `o2bench kv` sweep: the cross product of Mixes ×
-// Skews × (optionally Shards ×) Policies on one machine and store shape.
+// Skews × Policies on one machine and store shape.
 type KVConfig struct {
 	Machine Topology
-	// Spec shapes the store; ShardCounts (when non-empty) sweeps its
-	// shard count as an extra axis.
-	Spec        KVSpec
-	ShardCounts []int
+	// Spec shapes the store.
+	Spec KVSpec
 	// Load is the per-cell load template; Mixes and Skews sweep its mix
 	// and skew.
 	Load  KVLoad
@@ -251,15 +236,14 @@ func KVSweep(cfg KVConfig) (KVConfig, Sweep) {
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = KVPolicies()
 	}
-	axes := []Axis{MixAxis(cfg.Mixes...), SkewAxis(cfg.Skews...)}
-	if len(cfg.ShardCounts) > 0 {
-		axes = append(axes, ShardAxis(cfg.ShardCounts...))
-	}
-	axes = append(axes, PolicyAxis(cfg.Policies...))
 	return cfg, Sweep{
-		Name:     "kv",
-		Base:     Cell{Machine: cfg.Machine, KV: cfg.Spec, Load: cfg.Load},
-		Axes:     axes,
+		Name: "kv",
+		Base: Cell{Machine: cfg.Machine, KV: cfg.Spec, Load: cfg.Load},
+		Axes: []Axis{
+			MixAxis(cfg.Mixes...),
+			SkewAxis(cfg.Skews...),
+			PolicyAxis(cfg.Policies...),
+		},
 		Repeats:  cfg.Repeats,
 		Workers:  cfg.Workers,
 		Seed:     cfg.Seed,

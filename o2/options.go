@@ -160,13 +160,6 @@ func WithDRAMUnplaceFraction(frac float64) Option {
 	}
 }
 
-// WithReturnToOrigin makes every operation end with a migration back to
-// the core the thread came from; by default only nested operations return
-// and top-level threads continue from the object's core.
-func WithReturnToOrigin(on bool) Option {
-	return func(s *settings) { s.ct.ReturnToOrigin = on }
-}
-
 // WithMigrationCost sets the fixed CPU cost charged on each side of a
 // thread migration (the §6.1 active-messages ablation lowers it).
 func WithMigrationCost(c Cycles) Option {

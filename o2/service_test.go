@@ -1,6 +1,7 @@
 package o2
 
 import (
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -321,23 +322,6 @@ func TestWebLatencyQuantileShape(t *testing.T) {
 	}
 }
 
-// TestWebUniformArrivals runs the deterministic-uniform arrival process
-// end to end: an underloaded uniform stream must complete everything it
-// offers. (Exact spacing and seed independence of the stream itself are
-// pinned at the workload layer by TestArrivalTimesUniform.)
-func TestWebUniformArrivals(t *testing.T) {
-	load := ServiceLoad{
-		Requests: 300,
-		RPS:      500_000,
-		Arrivals: UniformArrivals,
-		Seed:     42,
-	}
-	res := runWebPolicy(t, KVThreadScheduler, webTestSpec(), load)
-	if res.Completed != uint64(load.Requests) || res.Dropped != 0 {
-		t.Errorf("uniform underload run should complete everything: %+v", res)
-	}
-}
-
 // TestWebServiceDefaultsAndValidation covers the spec and load defaulting
 // and rejection paths.
 func TestWebServiceDefaultsAndValidation(t *testing.T) {
@@ -362,18 +346,17 @@ func TestWebServiceDefaultsAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, bad := range []ServiceLoad{
-		{},                                       // no RPS
-		{RPS: -1},                                // negative rate
-		{RPS: math.NaN()},                        // NaN rate
-		{RPS: math.Inf(1)},                       // infinite rate
-		{RPS: 1000, CompactionShare: 1},          // share must stay below 1
-		{RPS: 1000, CompactionShare: -0.5},       // negative share
-		{RPS: 1000, Workers: -2},                 // negative workers
-		{RPS: 1000, QueueCap: -4},                // negative queue bound
-		{RPS: 1000, Requests: -7},                // negative request count
-		{RPS: 1000, CompactionWorkers: -1},       // negative compactors
-		{RPS: 1000, Skew: -0.5},                  // negative skew
-		{RPS: 1000, Arrivals: ArrivalProcess(9)}, // unknown arrival process
+		{},                                 // no RPS
+		{RPS: -1},                          // negative rate
+		{RPS: math.NaN()},                  // NaN rate
+		{RPS: math.Inf(1)},                 // infinite rate
+		{RPS: 1000, CompactionShare: 1},    // share must stay below 1
+		{RPS: 1000, CompactionShare: -0.5}, // negative share
+		{RPS: 1000, Workers: -2},           // negative workers
+		{RPS: 1000, QueueCap: -4},          // negative queue bound
+		{RPS: 1000, Requests: -7},          // negative request count
+		{RPS: 1000, CompactionWorkers: -1}, // negative compactors
+		{RPS: 1000, Skew: -0.5},            // negative skew
 	} {
 		if _, err := svc.Run(bad); err == nil {
 			t.Errorf("invalid load accepted: %+v", bad)
@@ -413,6 +396,32 @@ func TestServiceCellHonorsCellScheduler(t *testing.T) {
 	}
 	if m["migrations"] == 0 {
 		t.Error("PolicyAxis(KVCoreTime) cell never migrated; the policy is not in effect")
+	}
+}
+
+// TestServiceCellNoArrivals: a time limit that ends the run before the
+// first arrival offers nothing, so nothing was dropped. The drop rate must
+// read 0, not 0/0 = NaN, which JSON cannot encode.
+func TestServiceCellNoArrivals(t *testing.T) {
+	s := Sweep{
+		Name: "no-arrivals",
+		Base: Cell{
+			Machine: Tiny8,
+			Web:     WebSpec{DocRoots: 8, FilesPerRoot: 64},
+			Service: ServiceLoad{Requests: 50, RPS: 1000, TimeLimit: 10},
+		},
+		Runner:  ServiceCell,
+		Workers: 1,
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Cells[0].Runs[0]["drop_rate"]; got != 0 {
+		t.Errorf("drop_rate = %v with no arrivals, want 0", got)
+	}
+	if err := res.WriteJSON(io.Discard); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
 	}
 }
 

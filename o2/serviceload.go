@@ -68,24 +68,9 @@ func newLatencyHistogram() *stats.Histogram {
 	return stats.NewHistogramGrowth(latFirstBound, latGrowth, latBuckets)
 }
 
-// ArrivalProcess selects how request arrivals are spaced: PoissonArrivals
-// (seeded exponential gaps, the default) or UniformArrivals (exact
-// deterministic spacing).
-type ArrivalProcess = workload.ArrivalProcess
-
-// Arrival processes for ServiceLoad.Arrivals.
-const (
-	// PoissonArrivals draws exponential interarrival gaps from the load
-	// seed: the memoryless stream of many independent clients.
-	PoissonArrivals = workload.PoissonArrivals
-	// UniformArrivals spaces arrivals exactly one mean gap apart,
-	// isolating queueing caused by service-time variance from queueing
-	// caused by arrival burstiness.
-	UniformArrivals = workload.UniformArrivals
-)
-
 // ServiceLoad drives one open-loop measurement of a WebService: Requests
-// requests arrive at RPS requests per simulated second, queue in a
+// requests arrive as a Poisson stream of RPS requests per simulated
+// second (exponential gaps drawn from the load seed), queue in a
 // QueueCap-bounded buffer, and are drained by Workers server threads.
 // An optional background compaction thread class rewrites directories
 // concurrently with the foreground reads.
@@ -99,8 +84,6 @@ type ServiceLoad struct {
 	// time. It must be positive: an open-loop load has no natural default
 	// rate, because saturation depends on the machine and the tree.
 	RPS float64
-	// Arrivals selects the arrival process (default PoissonArrivals).
-	Arrivals ArrivalProcess
 	// QueueCap bounds the request queue; 0 means 4 × Workers. Arrivals
 	// that find the queue full are dropped and counted.
 	QueueCap int
@@ -379,8 +362,8 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	// shared generator, so the schedule is independent of execution order.
 	start := rt.Now()
 	meanGap := rt.ClockHz() / load.RPS
-	arrivals, err := workload.ArrivalTimes(load.Arrivals, start,
-		meanGap, load.Requests, NewRNG(DeriveSeed(seed, webArrivalStream)))
+	arrivals, err := workload.ArrivalTimes(start, meanGap, load.Requests,
+		NewRNG(DeriveSeed(seed, webArrivalStream)))
 	if err != nil {
 		return ServiceResult{}, err
 	}

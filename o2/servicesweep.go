@@ -59,10 +59,14 @@ func ServiceCell(c Cell) (Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	dropRate := 0.0
+	if res.Requests > 0 { // a time limit can end the run before any arrival
+		dropRate = float64(res.Dropped) / float64(res.Requests)
+	}
 	return Metrics{
 		"offered_krps":  res.OfferedKRPS,
 		"achieved_krps": res.AchievedKRPS,
-		"drop_rate":     float64(res.Dropped) / float64(res.Requests),
+		"drop_rate":     dropRate,
 		"p50_cycles":    res.P50,
 		"p95_cycles":    res.P95,
 		"p99_cycles":    res.P99,

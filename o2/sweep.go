@@ -210,17 +210,24 @@ type Cell struct {
 // report anything.
 type Metrics map[string]float64
 
-// DirLookupCell is the standard sweep runner: one directory-lookup
-// Experiment run of the cell. It is Experiment.Run underneath — the same
-// code path Experiment.Compare uses — so sweep cells and hand-rolled
-// experiments cannot drift; inside a sweep the cell's arena lets repeats
-// after the first reuse the built runtime and tree.
+// DirLookupCell is the standard sweep runner: one directory-lookup run
+// of the cell. It builds the runtime and tree from the cell as
+// Experiment.Run does from an experiment and resolves the parameters
+// through the same code path, so sweep cells and hand-rolled experiments
+// cannot drift; inside a sweep the cell's arena lets repeats after the
+// first reuse the built runtime and tree.
 func DirLookupCell(c Cell) (Metrics, error) {
-	exp := Experiment{Machine: c.Machine, Tree: c.Tree, Params: c.Params, Options: c.Options}
-	res, err := exp.runCell(&c)
+	params, err := resolveParams(c.Params)
 	if err != nil {
 		return nil, err
 	}
+	tree, err := scenarioForCell(&c, func(rt *Runtime) (*DirTree, error) {
+		return rt.NewDirTree(c.Tree)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := tree.Run(params)
 	return Metrics{
 		"kres_per_sec": res.KResPerSec,
 		"resolutions":  float64(res.Resolutions),

@@ -272,7 +272,7 @@ func TestSweepResultCellLookup(t *testing.T) {
 
 // TestFig4SweepMatchesExperiment pins the no-drift property: a sweep cell
 // and a hand-rolled Experiment.Run with the same seed produce identical
-// results, because DirLookupCell is Experiment.Run underneath.
+// results, because DirLookupCell builds and resolves as Experiment.Run does.
 func TestFig4SweepMatchesExperiment(t *testing.T) {
 	p := DefaultRunParams()
 	p.Threads = 4

@@ -20,7 +20,6 @@ type TraceConfig struct {
 	Spec      WebSpec
 	Load      ServiceLoad
 	Interval  Cycles // telemetry sampling period
-	TraceCap  int    // scheduler-trace capacity; 0 = telemetry default
 	Seed      uint64
 }
 
@@ -86,16 +85,12 @@ func RunTrace(cfg TraceConfig) (*TraceRun, error) {
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("o2: trace interval %d must be positive", cfg.Interval)
 	}
-	opts := []Option{
+	rt, err := New(
 		WithTopology(cfg.Machine),
 		WithScheduler(cfg.Scheduler),
 		WithSeed(cfg.Seed),
 		WithTelemetry(cfg.Interval),
-	}
-	if cfg.TraceCap > 0 {
-		opts = append(opts, WithTrace(cfg.TraceCap))
-	}
-	rt, err := New(opts...)
+	)
 	if err != nil {
 		return nil, err
 	}
