@@ -1,6 +1,7 @@
 // Engine speed round 2 benchmarks: the arena-reset sweep unit, the
 // WebService steady state, and the million-request soak drive.
-// Before/after numbers are recorded in BENCH_engine2.json.
+// Their before/after history is in CHANGES.md; hostbench/ is the harness
+// that measures the simulator end to end.
 //
 // BenchmarkFig4Cell (bench_hotpath_test.go) times the cold unit — build a
 // runtime and tree, run once. The sweep no longer pays that per repeat:
@@ -81,7 +82,7 @@ func BenchmarkWebCellArena(b *testing.B) {
 }
 
 // soakDrive is the shared body of the SoakDrive benchmarks: the
-// direct-handoff drive per request — the unit cost behind `o2bench
+// WebService drive per request — the unit cost behind `o2bench
 // soak`, where a million requests flow through one chained arrival event
 // and a parked-worker wait list. Extra options select the telemetry
 // variants.
@@ -92,11 +93,10 @@ func soakDrive(b *testing.B, opts ...o2.Option) {
 		b.Fatal(err)
 	}
 	load := o2.ServiceLoad{
-		Requests:      b.N,
-		RPS:           1_000_000,
-		Skew:          0.99,
-		Seed:          7,
-		DirectHandoff: true,
+		Requests: b.N,
+		RPS:      1_000_000,
+		Skew:     0.99,
+		Seed:     7,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,14 +110,14 @@ func soakDrive(b *testing.B, opts ...o2.Option) {
 }
 
 // BenchmarkSoakDrive is the telemetry-off baseline: 0 allocs/request
-// (pinned by TestSoakDriveAllocFree and BENCH_engine2.json).
+// (pinned by TestSoakDriveAllocFree).
 func BenchmarkSoakDrive(b *testing.B) {
 	soakDrive(b)
 }
 
 // BenchmarkSoakDriveTelemetry is the same drive with the telemetry
-// sampler probing every 20k cycles: the enabled overhead recorded in
-// BENCH_engine2.json. The probe path is allocation-free (o2lint
+// sampler probing every 20k cycles, the enabled overhead (CHANGES.md,
+// telemetry entry). The probe path is allocation-free (o2lint
 // hotalloc-enforced), so the delta is pure sampling CPU.
 func BenchmarkSoakDriveTelemetry(b *testing.B) {
 	soakDrive(b, o2.WithTelemetry(20_000))
@@ -149,7 +149,6 @@ func TestSoakDriveAllocFree(t *testing.T) {
 			}
 			load := o2.ServiceLoad{
 				Requests: requests, RPS: 1_000_000, Skew: 0.99, Seed: 7,
-				DirectHandoff: true,
 			}
 			// Warm once: scratch tables, pools, and recorder capacity reach
 			// their steady state on the first run.

@@ -2,7 +2,8 @@
 // paper-figure benchmarks in bench_test.go): BenchmarkFig4Cell times one
 // grid cell of the Figure-4 sweep end to end, the unit of work the sweep
 // engine parallelizes. Before/after numbers for the memory-data-path
-// refactor are recorded in BENCH_hotpath.json.
+// refactor are in CHANGES.md; hostbench/ is the harness that
+// measures the simulator end to end.
 package repro_test
 
 import (

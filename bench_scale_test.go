@@ -3,8 +3,9 @@
 // that the *per-core* simulator cost at 256 cores stays within 2x of the
 // 16-core cost — i.e. the multi-word coherence directory, the saturating
 // bandwidth meters, and the wide invalidation fan-out add per-node work
-// that is at most linear in the machine size. Before/after numbers are
-// recorded in BENCH_scale.json.
+// that is at most linear in the machine size. Before/after numbers are in
+// CHANGES.md (big-machine scaling round); hostbench/ measures the scale
+// workload end to end.
 package repro_test
 
 import (

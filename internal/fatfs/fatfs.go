@@ -1,5 +1,7 @@
-// Package fatfs is an in-memory FAT16 file system living in the simulated
-// machine's physical memory.
+// Package fatfs is an in-memory, lookup-only FAT16 file system living in
+// the simulated machine's physical memory: it formats a volume, makes
+// directories, populates them with zero-length entries, and resolves
+// names in them. Nothing creates, reads, writes or unlinks file data.
 //
 // It stands in for the paper's modified EFSL FAT implementation (§5):
 // an in-memory image, no buffer cache, and a tight file-name lookup loop.
@@ -54,7 +56,6 @@ const (
 	SectorSize   = 512
 	DirEntrySize = 32
 
-	attrReadOnly  = 0x01
 	attrDirectory = 0x10
 	attrArchive   = 0x20
 
@@ -75,16 +76,6 @@ type Config struct {
 	RootEntries int
 }
 
-// DefaultConfig returns a volume sized for the paper's largest benchmark
-// point (≈20 MB of directory data plus metadata).
-func DefaultConfig() Config {
-	return Config{
-		TotalBytes:        48 << 20,
-		SectorsPerCluster: 8,
-		RootEntries:       1024,
-	}
-}
-
 // FS is a formatted FAT16 volume.
 type FS struct {
 	img  *mem.Image
@@ -97,10 +88,6 @@ type FS struct {
 	nclusters int // data clusters, numbered from minCluster
 
 	clusterBytes int
-
-	// allocHint speeds host-side bulk setup; correctness never depends
-	// on it (allocation falls back to a full FAT scan).
-	allocHint int
 }
 
 // Format lays a fresh FAT16 volume into img. The volume occupies a single
@@ -144,7 +131,6 @@ func Format(img *mem.Image, cfg Config) (*FS, error) {
 		fatBase:      base + mem.Addr(SectorSize),
 		clusterBytes: clusterBytes,
 		nclusters:    nclusters,
-		allocHint:    minCluster,
 	}
 	fs.rootBase = fs.fatBase + mem.Addr(fatSectors*SectorSize)
 	fs.dataBase = fs.rootBase + mem.Addr(rootSectors*SectorSize)
@@ -185,15 +171,6 @@ func (fs *FS) writeBootSector(totalSectors, fatSectors int) {
 	fs.img.WriteAt(fs.base, b)
 }
 
-// Image returns the backing image.
-func (fs *FS) Image() *mem.Image { return fs.img }
-
-// ClusterBytes returns the cluster size in bytes.
-func (fs *FS) ClusterBytes() int { return fs.clusterBytes }
-
-// NumClusters returns the number of data clusters.
-func (fs *FS) NumClusters() int { return fs.nclusters }
-
 // clusterAddr returns the address of data cluster n (n >= minCluster).
 func (fs *FS) clusterAddr(n int) mem.Addr {
 	return fs.dataBase + mem.Addr((n-minCluster)*fs.clusterBytes)
@@ -213,24 +190,6 @@ func (fs *FS) readFAT(acc Access, n int) uint16 {
 func (fs *FS) setFAT(acc Access, n int, v uint16) {
 	acc.Store(fs.fatAddr(n), 2)
 	fs.img.Write16(fs.fatAddr(n), v)
-}
-
-// allocCluster finds a free cluster, marks it end-of-chain, and returns
-// its number. The scan is charged to acc.
-func (fs *FS) allocCluster(acc Access) (int, error) {
-	limit := fs.nclusters + minCluster
-	for off := 0; off < fs.nclusters; off++ {
-		n := fs.allocHint + off
-		if n >= limit {
-			n = minCluster + (n - limit)
-		}
-		if fs.readFAT(acc, n) == fatFree {
-			fs.setFAT(acc, n, fatEndOfFile)
-			fs.allocHint = n + 1
-			return n, nil
-		}
-	}
-	return 0, fmt.Errorf("fatfs: no free clusters")
 }
 
 // allocChainContiguous allocates count clusters guaranteed contiguous, for
@@ -256,9 +215,6 @@ func (fs *FS) allocChainContiguous(acc Access, count int) (int, error) {
 			fs.setFAT(acc, start+i, uint16(start+i+1))
 		}
 		fs.setFAT(acc, start+count-1, fatEndOfFile)
-		if fs.allocHint < start+count {
-			fs.allocHint = start + count
-		}
 		return start, nil
 	}
 	return 0, fmt.Errorf("fatfs: no run of %d contiguous free clusters", count)

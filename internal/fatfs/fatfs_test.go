@@ -1,19 +1,19 @@
 package fatfs
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
+// newFS formats a 48 MB volume, room for the paper's largest benchmark
+// point (≈20 MB of directory data plus metadata).
 func newFS(t testing.TB) *FS {
 	t.Helper()
 	img := mem.NewImage(64 << 20)
-	fs, err := Format(img, DefaultConfig())
+	fs, err := Format(img, Config{TotalBytes: 48 << 20, SectorsPerCluster: 8, RootEntries: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,19 +22,56 @@ func newFS(t testing.TB) *FS {
 
 var null = NullAccess{}
 
+// fileName is the benchmark workloads' entry name.
+func fileName(i int) string { return fmt.Sprintf("F%07d", i) }
+
+// freeClusters counts free FAT cells without charging anything.
+func freeClusters(fs *FS) int {
+	n := 0
+	for i := minCluster; i < fs.nclusters+minCluster; i++ {
+		if fs.img.Read16(fs.fatAddr(i)) == fatFree {
+			n++
+		}
+	}
+	return n
+}
+
+// deleteSlot marks slot idx of d deleted (0xE5 in the name's first byte),
+// as a FAT driver's unlink does.
+func deleteSlot(t testing.TB, fs *FS, d Dir, idx int) {
+	t.Helper()
+	span, err := fs.Extent(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.img.Bytes(span.Base+mem.Addr(idx*DirEntrySize), 1)[0] = 0xE5
+}
+
+// mkdirPopulated makes a directory of count entries named by fileName.
+func mkdirPopulated(t testing.TB, fs *FS, parent Dir, name string, count int) Dir {
+	t.Helper()
+	d, err := fs.Mkdir(null, parent, name, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Populate(d, count, fileName); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestFormatLayout(t *testing.T) {
 	fs := newFS(t)
-	if fs.NumClusters() < 1000 {
-		t.Fatalf("only %d clusters in a 48 MB volume", fs.NumClusters())
+	if fs.nclusters < 1000 {
+		t.Fatalf("only %d clusters in a 48 MB volume", fs.nclusters)
 	}
 	// Boot sector signature.
 	sig := fs.img.Bytes(fs.base+510, 2)
 	if sig[0] != 0x55 || sig[1] != 0xAA {
 		t.Fatal("boot sector signature missing")
 	}
-	if fs.FreeClusters() != fs.NumClusters() {
-		t.Fatalf("fresh volume has %d free of %d clusters",
-			fs.FreeClusters(), fs.NumClusters())
+	if free := freeClusters(fs); free != fs.nclusters {
+		t.Fatalf("fresh volume has %d free of %d clusters", free, fs.nclusters)
 	}
 }
 
@@ -84,147 +121,82 @@ func TestEncodeNameRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestCreateLookup(t *testing.T) {
-	fs := newFS(t)
-	data := []byte("hello fat world")
-	if _, err := fs.Create(null, fs.Root(), "HELLO.TXT", data); err != nil {
-		t.Fatal(err)
-	}
-	e, err := fs.Lookup(null, fs.Root(), "HELLO.TXT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Size != uint32(len(data)) {
-		t.Fatalf("Size = %d, want %d", e.Size, len(data))
-	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("contents %q, want %q", got, data)
-	}
-}
-
 func TestLookupNotFound(t *testing.T) {
 	fs := newFS(t)
-	_, err := fs.Lookup(null, fs.Root(), "NOPE.TXT")
-	if _, ok := err.(ErrNotFound); !ok {
-		t.Fatalf("err = %v, want ErrNotFound", err)
+	d := mkdirPopulated(t, fs, fs.Root(), "DIR0", 100)
+	deleteSlot(t, fs, d, 40)
+	for _, tc := range []struct {
+		dir  Dir
+		name string
+	}{
+		{fs.Root(), "NOPE.TXT"},
+		{fs.Root(), fileName(0)}, // lives one level down
+		{d, "NOPE.TXT"},
+		{d, fileName(100)}, // one past the populated entries
+		{d, fileName(40)},  // deleted
+	} {
+		_, err := fs.Lookup(null, tc.dir, tc.name)
+		var nf ErrNotFound
+		if !errors.As(err, &nf) || nf.Name != tc.name {
+			t.Errorf("Lookup(%s) err = %v, want ErrNotFound", tc.name, err)
+		}
 	}
 }
 
-func TestCreateDuplicateRejected(t *testing.T) {
+func TestMkdirDuplicateRejected(t *testing.T) {
 	fs := newFS(t)
-	if _, err := fs.Create(null, fs.Root(), "X.TXT", nil); err != nil {
-		t.Fatal(err)
+	d := mkdirPopulated(t, fs, fs.Root(), "X", 10)
+	free := freeClusters(fs)
+	if _, err := fs.Mkdir(null, fs.Root(), "X", 10); err == nil {
+		t.Fatal("duplicate directory accepted")
 	}
-	if _, err := fs.Create(null, fs.Root(), "X.TXT", nil); err == nil {
-		t.Fatal("duplicate create accepted")
+	// A populated file's name is taken too, and lowercase input encodes
+	// to the same on-disk name.
+	if _, err := fs.Mkdir(null, d, fileName(3), 10); err == nil {
+		t.Fatal("directory over an existing file name accepted")
 	}
-}
-
-func TestMultiClusterFile(t *testing.T) {
-	fs := newFS(t)
-	// 3.5 clusters of data.
-	data := make([]byte, fs.ClusterBytes()*7/2)
-	rng := stats.NewRNG(1)
-	for i := range data {
-		data[i] = byte(rng.Uint64())
+	if _, err := fs.Mkdir(null, fs.Root(), "x", 10); err == nil {
+		t.Fatal("lowercase duplicate directory accepted")
 	}
-	e, err := fs.Create(null, fs.Root(), "BIG.BIN", data)
-	if err != nil {
-		t.Fatal(err)
+	if got := freeClusters(fs); got != free {
+		t.Fatalf("rejected Mkdir allocated clusters: %d free, want %d", got, free)
 	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("multi-cluster contents corrupted")
+	if n := len(fs.ReadDir(null, fs.Root())); n != 1 {
+		t.Fatalf("root holds %d entries after rejected Mkdirs, want 1", n)
 	}
 	if err := fs.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWriteFileRewrites(t *testing.T) {
-	fs := newFS(t)
-	e, err := fs.Create(null, fs.Root(), "F.TXT", []byte("short"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := fs.FreeClusters()
-	long := make([]byte, fs.ClusterBytes()*2+17)
-	for i := range long {
-		long[i] = byte(i)
-	}
-	if err := fs.WriteFile(null, &e, long); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, long) {
-		t.Fatal("rewrite corrupted contents")
-	}
-	if fs.FreeClusters() != free-2 { // was 1 cluster, now 3
-		t.Fatalf("free clusters %d, want %d", fs.FreeClusters(), free-2)
-	}
-	// Shrink back, chain must be released.
-	if err := fs.WriteFile(null, &e, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free {
-		t.Fatalf("shrink leaked clusters: %d free, want %d", fs.FreeClusters(), free)
-	}
-	if err := fs.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUnlinkFreesClusters(t *testing.T) {
-	fs := newFS(t)
-	free := fs.FreeClusters()
-	data := make([]byte, fs.ClusterBytes()*2)
-	if _, err := fs.Create(null, fs.Root(), "D.BIN", data); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free-2 {
-		t.Fatalf("allocation accounting off: %d free", fs.FreeClusters())
-	}
-	if err := fs.Unlink(null, fs.Root(), "D.BIN"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.FreeClusters() != free {
-		t.Fatal("unlink leaked clusters")
-	}
-	if _, err := fs.Lookup(null, fs.Root(), "D.BIN"); err == nil {
-		t.Fatal("unlinked file still found")
-	}
-	// The slot must be reusable.
-	if _, err := fs.Create(null, fs.Root(), "E.BIN", nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMkdirAndNestedLookup(t *testing.T) {
+	// The path workload's shape: a top directory holding a subdirectory
+	// of files, resolved one Lookup per level through Entry.Dir.
 	fs := newFS(t)
-	d, err := fs.Mkdir(null, fs.Root(), "SUB", 1000)
+	top, err := fs.Mkdir(null, fs.Root(), "TOP", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(null, d, "LEAF.TXT", []byte("leaf")); err != nil {
-		t.Fatal(err)
+	mkdirPopulated(t, fs, top, "SUB", 1000)
+	d := fs.Root()
+	for _, name := range []string{"TOP", "SUB"} {
+		e, err := fs.Lookup(null, d, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, err = e.Dir(fs); err != nil {
+			t.Fatal(err)
+		}
 	}
-	e, err := fs.LookupPath(null, "/SUB/LEAF.TXT")
+	e, err := fs.Lookup(null, d, fileName(999))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fs.ReadAll(null, e)
-	if err != nil || string(got) != "leaf" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
+	if e.Index != 999 || e.IsDir() {
+		t.Fatalf("resolved %+v, want file slot 999", e)
+	}
+	if _, err := e.Dir(fs); err == nil {
+		t.Fatal("Entry.Dir accepted a file")
 	}
 	if err := fs.CheckConsistency(); err != nil {
 		t.Fatal(err)
@@ -250,23 +222,30 @@ func TestMkdirCapacityMatchesPaper(t *testing.T) {
 
 func TestExtentContiguous(t *testing.T) {
 	fs := newFS(t)
-	// Fragment the FAT: create a file, a dir, delete the file, make
-	// another dir — the second dir must still be contiguous.
-	if _, err := fs.Create(null, fs.Root(), "GAP.BIN", make([]byte, fs.ClusterBytes())); err != nil {
-		t.Fatal(err)
-	}
+	// Fragment the FAT: one free cluster, then D1, then a cluster held
+	// by no directory, then free space. D2 needs 8 clusters, so it fits
+	// neither the one-cluster hole nor the gap before the held cell and
+	// must start past it, still contiguous.
+	fs.setFAT(null, minCluster, fatEndOfFile)
 	if _, err := fs.Mkdir(null, fs.Root(), "D1", 500); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Unlink(null, fs.Root(), "GAP.BIN"); err != nil {
-		t.Fatal(err)
-	}
+	fs.setFAT(null, minCluster, fatFree)
+	held := minCluster + 1 + 4 + 2 // past the hole, D1's 4 clusters and a 2-cluster gap
+	fs.setFAT(null, held, fatEndOfFile)
 	d2, err := fs.Mkdir(null, fs.Root(), "D2", 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Extent(d2); err != nil {
+	span, err := fs.Extent(d2)
+	if err != nil {
 		t.Fatalf("directory not contiguous: %v", err)
+	}
+	if span.Base != fs.clusterAddr(held+1) || span.Size != 8*uint64(fs.clusterBytes) {
+		t.Fatalf("D2 spans %+v, want 8 clusters from cluster %d", span, held+1)
+	}
+	if err := fs.CheckConsistency(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -311,112 +290,27 @@ func TestPopulateOverflowRejected(t *testing.T) {
 	}
 }
 
-func TestUnlinkNonEmptyDirRejected(t *testing.T) {
-	fs := newFS(t)
-	d, err := fs.Mkdir(null, fs.Root(), "SUB", 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Create(null, d, "F.TXT", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unlink(null, fs.Root(), "SUB"); err == nil {
-		t.Fatal("unlink of non-empty directory accepted")
-	}
-	if err := fs.Unlink(null, d, "F.TXT"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unlink(null, fs.Root(), "SUB"); err != nil {
-		t.Fatalf("unlink of emptied directory failed: %v", err)
-	}
-	if err := fs.CheckConsistency(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeletedEntriesSkippedInLookup(t *testing.T) {
 	fs := newFS(t)
-	if _, err := fs.Create(null, fs.Root(), "A.TXT", nil); err != nil {
+	if _, err := fs.Mkdir(null, fs.Root(), "A", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(null, fs.Root(), "B.TXT", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Unlink(null, fs.Root(), "A.TXT"); err != nil {
-		t.Fatal(err)
-	}
-	// B sits after the deleted slot; lookup must skip, not stop.
-	if _, err := fs.Lookup(null, fs.Root(), "B.TXT"); err != nil {
+	d := mkdirPopulated(t, fs, fs.Root(), "B", 2)
+	deleteSlot(t, fs, fs.Root(), 0) // A
+	deleteSlot(t, fs, d, 0)
+	// B and F0000001 each sit after a deleted slot; lookup must skip it,
+	// not stop.
+	if _, err := fs.Lookup(null, fs.Root(), "B"); err != nil {
 		t.Fatalf("lookup after deleted entry: %v", err)
 	}
-}
-
-func TestConsistencyRandomOps(t *testing.T) {
-	// Property: arbitrary create/write/delete sequences keep the volume
-	// consistent and never lose allocated clusters.
-	f := func(seed uint64) bool {
-		img := mem.NewImage(16 << 20)
-		fs, err := Format(img, Config{TotalBytes: 8 << 20, SectorsPerCluster: 8, RootEntries: 512})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRNG(seed)
-		live := map[string][]byte{}
-		for op := 0; op < 120; op++ {
-			name := fmt.Sprintf("F%04d.DAT", rng.Intn(40))
-			switch rng.Intn(3) {
-			case 0: // create
-				if _, exists := live[name]; exists {
-					continue
-				}
-				data := make([]byte, rng.Intn(3*fs.ClusterBytes()))
-				for i := range data {
-					data[i] = byte(rng.Uint64())
-				}
-				if _, err := fs.Create(null, fs.Root(), name, data); err != nil {
-					return false
-				}
-				live[name] = data
-			case 1: // rewrite
-				if _, exists := live[name]; !exists {
-					continue
-				}
-				e, err := fs.Lookup(null, fs.Root(), name)
-				if err != nil {
-					return false
-				}
-				data := make([]byte, rng.Intn(2*fs.ClusterBytes()))
-				for i := range data {
-					data[i] = byte(rng.Uint64())
-				}
-				if err := fs.WriteFile(null, &e, data); err != nil {
-					return false
-				}
-				live[name] = data
-			case 2: // delete
-				if _, exists := live[name]; !exists {
-					continue
-				}
-				if err := fs.Unlink(null, fs.Root(), name); err != nil {
-					return false
-				}
-				delete(live, name)
-			}
-		}
-		// All live files readable with correct contents.
-		for name, want := range live {
-			e, err := fs.Lookup(null, fs.Root(), name)
-			if err != nil {
-				return false
-			}
-			got, err := fs.ReadAll(null, e)
-			if err != nil || !bytes.Equal(got, want) {
-				return false
-			}
-		}
-		return fs.CheckConsistency() == nil
+	e, err := fs.Lookup(null, d, fileName(1))
+	if err != nil {
+		t.Fatalf("lookup after deleted entry: %v", err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
+	if e.Index != 1 {
+		t.Fatalf("found slot %d, want 1", e.Index)
+	}
+	if err := fs.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,9 +20,6 @@ func (fs *FS) Root() Dir { return Dir{fs: fs} }
 // IsRoot reports whether d is the root directory.
 func (d Dir) IsRoot() bool { return d.firstCluster == 0 }
 
-// FirstCluster returns the first cluster of a subdirectory (0 for root).
-func (d Dir) FirstCluster() int { return d.firstCluster }
-
 // Entry is a decoded directory entry.
 type Entry struct {
 	Name         string
@@ -98,13 +95,12 @@ func (fs *FS) decodeEntry(addr mem.Addr, idx int) Entry {
 	}
 }
 
-// writeEntry emits a dirent at addr, charging acc.
-func (fs *FS) writeEntry(acc Access, addr mem.Addr, raw [11]byte, attr byte, firstCluster int, size uint32) {
+// writeEntry emits a zero-length dirent at addr, charging acc.
+func (fs *FS) writeEntry(acc Access, addr mem.Addr, raw [11]byte, attr byte, firstCluster int) {
 	b := make([]byte, DirEntrySize)
 	copy(b[:11], raw[:])
 	b[11] = attr
 	b[26], b[27] = byte(firstCluster), byte(firstCluster>>8)
-	b[28], b[29], b[30], b[31] = byte(size), byte(size>>8), byte(size>>16), byte(size>>24)
 	acc.Store(addr, DirEntrySize)
 	fs.img.WriteAt(addr, b)
 }
@@ -250,120 +246,23 @@ func (fs *FS) scanRegion(acc Access, base mem.Addr, nslots, idx0 int, raw *[11]b
 	return Entry{}, false, false
 }
 
-// LookupPath resolves a "/"-separated path from the root, charging every
-// directory scan along the way.
-func (fs *FS) LookupPath(acc Access, path string) (Entry, error) {
-	d := fs.Root()
-	var e Entry
-	start := 0
-	if len(path) > 0 && path[0] == '/' {
-		start = 1
-	}
-	rest := path[start:]
-	if rest == "" {
-		return Entry{}, fmt.Errorf("fatfs: empty path %q", path)
-	}
-	for rest != "" {
-		comp := rest
-		if i := indexByte(rest, '/'); i >= 0 {
-			comp, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
-		}
-		var err error
-		e, err = fs.Lookup(acc, d, comp)
-		if err != nil {
-			return Entry{}, err
-		}
-		if rest != "" {
-			d, err = e.Dir(fs)
-			if err != nil {
-				return Entry{}, err
-			}
-		}
-	}
-	return e, nil
-}
-
-func indexByte(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
 // findFreeSlot returns the first free slot address in d, charging the scan.
-func (fs *FS) findFreeSlot(acc Access, d Dir) (mem.Addr, int, error) {
+func (fs *FS) findFreeSlot(acc Access, d Dir) (mem.Addr, error) {
 	var addr mem.Addr
-	idx := -1
-	fs.forEachSlot(acc, d, func(a mem.Addr, i int) bool {
+	found := false
+	fs.forEachSlot(acc, d, func(a mem.Addr, _ int) bool {
 		acc.Load(a, 1)
 		b := fs.img.Bytes(a, 1)[0]
 		if b == 0x00 || b == 0xE5 {
-			addr, idx = a, i
+			addr, found = a, true
 			return false
 		}
 		return true
 	})
-	if idx < 0 {
-		return 0, 0, fmt.Errorf("fatfs: directory full")
+	if !found {
+		return 0, fmt.Errorf("fatfs: directory full")
 	}
-	return addr, idx, nil
-}
-
-// Create adds a file named name to d with the given contents (which may be
-// empty). It fails if the name already exists.
-func (fs *FS) Create(acc Access, d Dir, name string, data []byte) (Entry, error) {
-	raw, err := EncodeName(name)
-	if err != nil {
-		return Entry{}, err
-	}
-	if _, err := fs.Lookup(acc, d, name); err == nil {
-		return Entry{}, fmt.Errorf("fatfs: %q already exists", name)
-	}
-	addr, idx, err := fs.findFreeSlot(acc, d)
-	if err != nil {
-		return Entry{}, err
-	}
-	first := 0
-	if len(data) > 0 {
-		first, err = fs.writeNewChain(acc, data)
-		if err != nil {
-			return Entry{}, err
-		}
-	}
-	fs.writeEntry(acc, addr, raw, attrArchive, first, uint32(len(data)))
-	return fs.decodeEntry(addr, idx), nil
-}
-
-// writeNewChain allocates clusters for data and writes it, returning the
-// first cluster.
-func (fs *FS) writeNewChain(acc Access, data []byte) (int, error) {
-	first, prev := 0, 0
-	for off := 0; off < len(data); off += fs.clusterBytes {
-		cl, err := fs.allocCluster(acc)
-		if err != nil {
-			if first != 0 {
-				fs.freeChain(acc, first)
-			}
-			return 0, err
-		}
-		if first == 0 {
-			first = cl
-		} else {
-			fs.setFAT(acc, prev, uint16(cl))
-		}
-		prev = cl
-		end := off + fs.clusterBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		acc.Store(fs.clusterAddr(cl), end-off)
-		fs.img.WriteAt(fs.clusterAddr(cl), data[off:end])
-	}
-	return first, nil
+	return addr, nil
 }
 
 // Mkdir creates a subdirectory under parent with capacity for at least
@@ -394,12 +293,12 @@ func (fs *FS) Mkdir(acc Access, parent Dir, name string, capEntries int) (Dir, e
 		acc.Store(a, fs.clusterBytes)
 		fs.img.WriteAt(a, zero)
 	}
-	addr, _, err := fs.findFreeSlot(acc, parent)
+	addr, err := fs.findFreeSlot(acc, parent)
 	if err != nil {
 		fs.freeChain(acc, first)
 		return Dir{}, err
 	}
-	fs.writeEntry(acc, addr, raw, attrDirectory, first, 0)
+	fs.writeEntry(acc, addr, raw, attrDirectory, first)
 	return Dir{fs: fs, firstCluster: first}, nil
 }
 
@@ -419,7 +318,7 @@ func (fs *FS) Populate(d Dir, count int, namer func(i int) string) error {
 			failure = err
 			return false
 		}
-		fs.writeEntry(NullAccess{}, addr, raw, attrArchive, 0, 0)
+		fs.writeEntry(NullAccess{}, addr, raw, attrArchive, 0)
 		written++
 		return true
 	})
@@ -450,85 +349,6 @@ func (fs *FS) ReadDir(acc Access, d Dir) []Entry {
 	return out
 }
 
-// ReadAll returns a file's contents, charging the chain walk and data
-// loads.
-func (fs *FS) ReadAll(acc Access, e Entry) ([]byte, error) {
-	if e.IsDir() {
-		return nil, fmt.Errorf("fatfs: %q is a directory", e.Name)
-	}
-	out := make([]byte, 0, e.Size)
-	remaining := int(e.Size)
-	if remaining == 0 {
-		return out, nil
-	}
-	clusters, err := fs.chain(acc, e.FirstCluster)
-	if err != nil {
-		return nil, err
-	}
-	for _, cl := range clusters {
-		n := remaining
-		if n > fs.clusterBytes {
-			n = fs.clusterBytes
-		}
-		a := fs.clusterAddr(cl)
-		acc.Load(a, n)
-		out = append(out, fs.img.ReadAt(a, n)...)
-		remaining -= n
-		if remaining == 0 {
-			break
-		}
-	}
-	if remaining != 0 {
-		return nil, fmt.Errorf("fatfs: %q chain shorter than size %d", e.Name, e.Size)
-	}
-	return out, nil
-}
-
-// WriteFile replaces the contents of the file entry e with data,
-// reallocating its chain.
-func (fs *FS) WriteFile(acc Access, e *Entry, data []byte) error {
-	if e.IsDir() {
-		return fmt.Errorf("fatfs: %q is a directory", e.Name)
-	}
-	if e.FirstCluster != 0 {
-		fs.freeChain(acc, e.FirstCluster)
-	}
-	first := 0
-	if len(data) > 0 {
-		var err error
-		first, err = fs.writeNewChain(acc, data)
-		if err != nil {
-			return err
-		}
-	}
-	e.FirstCluster = first
-	e.Size = uint32(len(data))
-	var raw [11]byte
-	copy(raw[:], fs.img.Bytes(e.Addr, 11))
-	fs.writeEntry(acc, e.Addr, raw, e.Attr, first, e.Size)
-	return nil
-}
-
-// Unlink removes the named file or (empty) directory from d.
-func (fs *FS) Unlink(acc Access, d Dir, name string) error {
-	e, err := fs.Lookup(acc, d, name)
-	if err != nil {
-		return err
-	}
-	if e.IsDir() {
-		sub, _ := e.Dir(fs)
-		if len(fs.ReadDir(NullAccess{}, sub)) != 0 {
-			return fmt.Errorf("fatfs: directory %q not empty", name)
-		}
-	}
-	if e.FirstCluster != 0 {
-		fs.freeChain(acc, e.FirstCluster)
-	}
-	acc.Store(e.Addr, 1)
-	fs.img.Bytes(e.Addr, 1)[0] = 0xE5
-	return nil
-}
-
 // Extent returns the contiguous byte span of a directory's entry storage,
 // for registration as a CoreTime object. It fails if the chain is not
 // contiguous (directories made with Mkdir always are).
@@ -549,17 +369,6 @@ func (fs *FS) Extent(d Dir) (mem.Span, error) {
 		Base: fs.clusterAddr(clusters[0]),
 		Size: uint64(len(clusters) * fs.clusterBytes),
 	}, nil
-}
-
-// FreeClusters counts free FAT cells (host-side, uncharged).
-func (fs *FS) FreeClusters() int {
-	n := 0
-	for i := minCluster; i < fs.nclusters+minCluster; i++ {
-		if fs.img.Read16(fs.fatAddr(i)) == fatFree {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckConsistency validates the volume like a small fsck: every reachable

@@ -7,7 +7,7 @@ import (
 )
 
 // Hotalloc turns the hot-path benchmarks' 0 allocs/op guarantee
-// (BENCH_hotpath.json) into a build-time check: a function whose doc
+// (bench_hotpath_test.go) into a build-time check: a function whose doc
 // comment carries //o2:hotpath may contain no allocating construct. The
 // check is intraprocedural and conservative — it flags the source
 // constructs that can allocate, whether or not escape analysis would save

@@ -3,16 +3,14 @@ package sched
 import "repro/internal/exec"
 
 // WaitList is a FIFO wait queue for threads that idle until work arrives —
-// the scheduler-side half of the engine's dead-time fast-forward. An
-// open-loop service pool that polls the arrival schedule wakes every idle
-// worker at every arrival; workers parked on a WaitList instead wake only
-// when a producer hands them work, so a quiet system has no pending worker
-// events at all and the engine can jump straight over the dead time.
+// the scheduler-side half of the engine's dead-time fast-forward. Threads
+// parked on a WaitList wake only when a producer hands them work, so a
+// quiet system has no pending worker events at all and the engine can
+// jump straight over the dead time.
 //
 // Wait releases the caller's core for the duration (idle, not busy,
 // cycles accrue — see exec.Thread.Block), and WakeOne hands work to the
-// longest-waiting thread first, matching the earliest-sleeper-first order
-// a timer-based pool would exhibit. All methods must be called in engine
+// longest-waiting thread first. All methods must be called in engine
 // context; the zero WaitList is ready to use.
 type WaitList struct {
 	q []*exec.Thread

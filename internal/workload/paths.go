@@ -9,7 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sched"
 	"repro/internal/sim"
-	"repro/internal/topology"
 )
 
 // This file implements the hierarchical path-resolution workload:
@@ -64,24 +63,11 @@ type PathEnv struct {
 	SubNames []string
 }
 
-// BuildPathEnv constructs the tree: TopDirs directories under the root,
-// each holding SubsPerTop subdirectories of FilesPerSub zero-length files.
-// Every directory gets its own spin lock and registered object.
-func BuildPathEnv(cfg topology.Config, execOpts exec.Options, spec PathSpec) (*PathEnv, error) {
-	if spec.TopDirs <= 0 || spec.SubsPerTop <= 0 || spec.FilesPerSub <= 0 {
-		return nil, fmt.Errorf("workload: invalid path spec %+v", spec)
-	}
-	eng := sim.NewEngine()
-	m, err := machine.New(cfg, spec.ImageBytes())
-	if err != nil {
-		return nil, err
-	}
-	return BuildPathEnvOn(exec.NewSystem(eng, m, execOpts), spec)
-}
-
-// BuildPathEnvOn builds the two-level tree on an existing substrate,
-// formatting the FAT volume inside the machine's memory image (see
-// BuildEnvOn).
+// BuildPathEnvOn builds the two-level tree on sys: TopDirs directories
+// under the root, each holding SubsPerTop subdirectories of FilesPerSub
+// zero-length files, every directory with its own spin lock and
+// registered object. The FAT volume is formatted inside the machine's
+// memory image, which must have room for it (see PathSpec.ImageBytes).
 func BuildPathEnvOn(sys *exec.System, spec PathSpec) (*PathEnv, error) {
 	if spec.TopDirs <= 0 || spec.SubsPerTop <= 0 || spec.FilesPerSub <= 0 {
 		return nil, fmt.Errorf("workload: invalid path spec %+v", spec)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/fatfs"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -21,7 +20,7 @@ func pathParams() RunParams {
 }
 
 func TestBuildPathEnv(t *testing.T) {
-	env, err := BuildPathEnv(topology.Tiny8(), exec.DefaultOptions(), pathSpec())
+	env, err := BuildPathEnvOn(newSystem(t, topology.Tiny8(), pathSpec()), pathSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,20 +40,31 @@ func TestBuildPathEnv(t *testing.T) {
 	if err := env.FS.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	// A full path must resolve through the real FS.
-	if _, err := env.FS.LookupPath(fatfs.NullAccess{}, "/TOP0001/SUB0003/F0000042"); err != nil {
+	// A full path must resolve through the real FS, one directory scan
+	// per component.
+	d := env.FS.Root()
+	for _, name := range []string{"TOP0001", "SUB0003"} {
+		e, err := env.FS.Lookup(fatfs.NullAccess{}, d, name)
+		if err != nil {
+			t.Fatalf("path resolution: %v", err)
+		}
+		if d, err = e.Dir(env.FS); err != nil {
+			t.Fatalf("path resolution: %v", err)
+		}
+	}
+	if _, err := env.FS.Lookup(fatfs.NullAccess{}, d, "F0000042"); err != nil {
 		t.Fatalf("path resolution: %v", err)
 	}
 }
 
 func TestPathSpecRejected(t *testing.T) {
-	if _, err := BuildPathEnv(topology.Tiny8(), exec.DefaultOptions(), PathSpec{}); err == nil {
+	if _, err := BuildPathEnvOn(newSystem(t, topology.Tiny8(), PathSpec{}), PathSpec{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }
 
 func TestPathLookupBaseline(t *testing.T) {
-	env, err := BuildPathEnv(topology.Tiny8(), exec.DefaultOptions(), pathSpec())
+	env, err := BuildPathEnvOn(newSystem(t, topology.Tiny8(), pathSpec()), pathSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +79,7 @@ func TestPathLookupBaseline(t *testing.T) {
 
 func TestPathLookupDeterministic(t *testing.T) {
 	run := func() uint64 {
-		env, err := BuildPathEnv(topology.Tiny8(), exec.DefaultOptions(), pathSpec())
+		env, err := BuildPathEnvOn(newSystem(t, topology.Tiny8(), pathSpec()), pathSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +94,7 @@ func TestClusteringReducesPathMigrations(t *testing.T) {
 	p := pathParams()
 
 	run := func(clustering bool) PathResult {
-		env, err := BuildPathEnv(topology.Tiny8(), exec.DefaultOptions(), pathSpec())
+		env, err := BuildPathEnvOn(newSystem(t, topology.Tiny8(), pathSpec()), pathSpec())
 		if err != nil {
 			t.Fatal(err)
 		}

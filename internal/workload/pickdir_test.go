@@ -3,15 +3,14 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
 func pickEnv(t *testing.T, dirs int) *Env {
 	t.Helper()
-	env, err := BuildEnv(topology.Small(), exec.DefaultOptions(),
-		DirSpec{Dirs: dirs, EntriesPerDir: 16})
+	spec := DirSpec{Dirs: dirs, EntriesPerDir: 16}
+	env, err := BuildEnvOn(newSystem(t, topology.Small(), spec), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -53,7 +52,7 @@ func TestWholeStackStress(t *testing.T) {
 
 		for _, useCT := range []bool{false, true} {
 			run := func() (Result, *core.Runtime, *Env) {
-				env, err := BuildEnv(cfg, exec.DefaultOptions(), spec)
+				env, err := BuildEnvOn(newSystem(t, cfg, spec), spec)
 				if err != nil {
 					t.Fatalf("trial %d: %v", trial, err)
 				}

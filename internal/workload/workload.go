@@ -17,7 +17,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 )
 
 // DirSpec sizes the directory tree.
@@ -58,28 +57,12 @@ type Env struct {
 	Spec DirSpec
 }
 
-// BuildEnv constructs a fresh environment: a machine from cfg, a FAT
-// volume sized to hold the directory tree, spec.Dirs directories of
+// BuildEnvOn builds the directory-tree environment on sys: a FAT volume
+// formatted inside the machine's memory image, spec.Dirs directories of
 // spec.EntriesPerDir files each, a per-directory spin lock (the paper
 // added per-directory spin locks to EFSL), and one registered memory
-// object per directory.
-func BuildEnv(cfg topology.Config, execOpts exec.Options, spec DirSpec) (*Env, error) {
-	if spec.Dirs <= 0 || spec.EntriesPerDir <= 0 {
-		return nil, fmt.Errorf("workload: need positive dirs and entries, got %+v", spec)
-	}
-	eng := sim.NewEngine()
-	m, err := machine.New(cfg, spec.ImageBytes())
-	if err != nil {
-		return nil, err
-	}
-	return BuildEnvOn(exec.NewSystem(eng, m, execOpts), spec)
-}
-
-// BuildEnvOn builds the directory-tree environment on an existing
-// substrate, formatting the FAT volume inside the machine's memory image.
-// The image must have room for the volume (see DirSpec.ImageBytes); callers
-// that own machine construction, like the public o2 façade, use this entry
-// point.
+// object per directory. The image must have room for the volume (see
+// DirSpec.ImageBytes).
 func BuildEnvOn(sys *exec.System, spec DirSpec) (*Env, error) {
 	if spec.Dirs <= 0 || spec.EntriesPerDir <= 0 {
 		return nil, fmt.Errorf("workload: need positive dirs and entries, got %+v", spec)

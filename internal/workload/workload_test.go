@@ -23,8 +23,19 @@ func smallParams() RunParams {
 	return p
 }
 
+// newSystem builds an engine, a machine from cfg with the memory spec
+// needs, and the substrate over them, for BuildEnvOn and BuildPathEnvOn.
+func newSystem(t testing.TB, cfg topology.Config, spec interface{ ImageBytes() int }) *exec.System {
+	t.Helper()
+	m, err := machine.New(cfg, spec.ImageBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec.NewSystem(sim.NewEngine(), m, exec.DefaultOptions())
+}
+
 func TestBuildEnv(t *testing.T) {
-	env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,13 +56,13 @@ func TestBuildEnv(t *testing.T) {
 }
 
 func TestBuildEnvRejectsBadSpec(t *testing.T) {
-	if _, err := BuildEnv(topology.Small(), exec.DefaultOptions(), DirSpec{}); err == nil {
+	if _, err := BuildEnvOn(newSystem(t, topology.Small(), DirSpec{}), DirSpec{}); err == nil {
 		t.Fatal("empty spec accepted")
 	}
 }
 
 func TestBaselineRunProducesResolutions(t *testing.T) {
-	env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +87,7 @@ func TestBaselineRunProducesResolutions(t *testing.T) {
 func TestRunsAreDeterministic(t *testing.T) {
 	p := smallParams()
 	run := func() uint64 {
-		env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+		env, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,13 +100,13 @@ func TestRunsAreDeterministic(t *testing.T) {
 }
 
 func TestSeedChangesSchedule(t *testing.T) {
-	env1, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env1, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := smallParams()
 	a := RunDirLookup(env1, sched.ThreadScheduler{}, p)
-	env2, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env2, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +128,13 @@ func TestCoreTimeMigratesAndWins(t *testing.T) {
 	p := smallParams()
 	p.Threads = 8
 
-	envBase, err := BuildEnv(topology.Tiny8(), exec.DefaultOptions(), spec)
+	envBase, err := BuildEnvOn(newSystem(t, topology.Tiny8(), spec), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := RunDirLookup(envBase, sched.ThreadScheduler{}, p)
 
-	envCT, err := BuildEnv(topology.Tiny8(), exec.DefaultOptions(), spec)
+	envCT, err := BuildEnvOn(newSystem(t, topology.Tiny8(), spec), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +155,7 @@ func TestCoreTimeMigratesAndWins(t *testing.T) {
 }
 
 func TestOscillatingPopularityShrinksActiveSet(t *testing.T) {
-	env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +169,7 @@ func TestOscillatingPopularityShrinksActiveSet(t *testing.T) {
 }
 
 func TestEnvReuseAcrossRuns(t *testing.T) {
-	env, err := BuildEnv(topology.Small(), exec.DefaultOptions(), smallSpec())
+	env, err := BuildEnvOn(newSystem(t, topology.Small(), smallSpec()), smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

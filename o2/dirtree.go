@@ -43,10 +43,12 @@ func (tree *DirTree) Spec() DirSpec { return tree.env.Spec }
 
 // Run measures the built-in directory-lookup driver (the paper's Figure 1
 // loop) under the runtime's scheduler: p.Threads threads each repeatedly
-// pick a directory by p.Popularity and resolve a random name in it. Caches
-// and counters are flushed first, so one tree can be measured repeatedly.
+// pick a directory by p.Popularity and resolve a random name in it. Zero
+// fields of p are filled from DefaultRunParams field by field
+// (RunParams.WithDefaults). Caches and counters are flushed first, so one
+// tree can be measured repeatedly.
 func (tree *DirTree) Run(p RunParams) Result {
-	return workload.RunDirLookup(tree.env, tree.rt.ann, p)
+	return workload.RunDirLookup(tree.env, tree.rt.ann, p.WithDefaults())
 }
 
 // Dir is one directory of a DirTree.
@@ -122,7 +124,8 @@ func (pt *PathTree) ClusterByTop() {
 
 // Run measures full-path resolutions per second under the runtime's
 // scheduler: each resolution is an outer operation on the top directory
-// with a nested operation on the subdirectory.
+// with a nested operation on the subdirectory. Zero fields of p are
+// filled as DirTree.Run fills them.
 func (pt *PathTree) Run(p RunParams) PathResult {
-	return workload.RunPathLookup(pt.env, pt.rt.ann, p)
+	return workload.RunPathLookup(pt.env, pt.rt.ann, p.WithDefaults())
 }

@@ -1,6 +1,7 @@
 package o2
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -148,6 +149,32 @@ func TestExperimentPartialParamsDefaulted(t *testing.T) {
 	exp.Params.Threads = -1
 	if _, err := exp.Run(); err == nil || !strings.Contains(err.Error(), "Threads") {
 		t.Fatalf("Run with negative Threads: err = %v, want Threads validation error", err)
+	}
+}
+
+func TestTreeRunPartialParamsDefaulted(t *testing.T) {
+	// DirTree.Run and PathTree.Run fill zero fields as Experiment.Run
+	// does: a caller that only chose the thread count, or nothing at all,
+	// gets the default measurement window, not a zero-length one whose
+	// rate is 0/0.
+	rt := MustNew(WithTopology(Small4))
+	tree, err := rt.NewDirTree(DirSpec{Dirs: 2, EntriesPerDir: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := tree.Run(RunParams{Threads: 4})
+	if math.IsNaN(res.KResPerSec) || res.KResPerSec <= 0 || len(res.PerThread) != 4 {
+		t.Errorf("DirTree.Run(RunParams{Threads: 4}) = %v kres/s over %d threads, want a positive rate over 4",
+			res.KResPerSec, len(res.PerThread))
+	}
+
+	rt = MustNew(WithTopology(Small4))
+	pt, err := rt.NewPathTree(PathSpec{TopDirs: 2, SubsPerTop: 2, FilesPerSub: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pres := pt.Run(RunParams{}); math.IsNaN(pres.KResPerSec) || pres.KResPerSec <= 0 {
+		t.Errorf("PathTree.Run(RunParams{}) = %v kres/s, want a positive rate", pres.KResPerSec)
 	}
 }
 

@@ -244,35 +244,24 @@ func TestRuntimesLeakNoGoroutines(t *testing.T) {
 }
 
 // TestWebDirectHandoff runs the parked-worker drive end to end: an
-// underloaded run must complete everything it offers, deterministically,
-// with the same accounting invariant as the polled drive.
+// underloaded run must complete everything it offers, deterministically.
 func TestWebDirectHandoff(t *testing.T) {
 	load := ServiceLoad{
-		Requests:      800,
-		RPS:           1_000_000,
-		Skew:          0.99,
-		Seed:          42,
-		DirectHandoff: true,
+		Requests: 800,
+		RPS:      1_000_000,
+		Skew:     0.99,
+		Seed:     42,
 	}
 	a := runWebPolicy(t, KVThreadScheduler, webTestSpec(), load)
 	b := runWebPolicy(t, KVThreadScheduler, webTestSpec(), load)
 	if a != b {
-		t.Errorf("direct-handoff run not deterministic:\n%+v\n%+v", a, b)
+		t.Errorf("run not deterministic:\n%+v\n%+v", a, b)
 	}
 	if a.Completed != uint64(load.Requests) || a.Dropped != 0 || a.InFlight != 0 {
-		t.Errorf("underloaded direct-handoff run should complete everything: %+v", a)
+		t.Errorf("underloaded run should complete everything: %+v", a)
 	}
 	if a.P50 <= 0 || a.MaxLatency < a.P999 {
 		t.Errorf("degenerate latency distribution: %+v", a)
-	}
-	// The two drives share the schedule and the queue: offered counts and
-	// the served total must agree even though worker interleaving (and so
-	// per-request placement) differs.
-	polled := load
-	polled.DirectHandoff = false
-	p := runWebPolicy(t, KVThreadScheduler, webTestSpec(), polled)
-	if p.Completed != a.Completed || p.Requests != a.Requests {
-		t.Errorf("drive modes disagree on accounting: handoff %+v vs polled %+v", a, p)
 	}
 }
 
@@ -281,12 +270,11 @@ func TestWebDirectHandoff(t *testing.T) {
 // the three-way invariant.
 func TestWebDirectHandoffUnderOverloadAndLimit(t *testing.T) {
 	load := ServiceLoad{
-		Requests:      1200,
-		RPS:           8_000_000,
-		QueueCap:      16,
-		Seed:          42,
-		DirectHandoff: true,
-		TimeLimit:     400_000,
+		Requests:  1200,
+		RPS:       8_000_000,
+		QueueCap:  16,
+		Seed:      42,
+		TimeLimit: 400_000,
 	}
 	res := runWebPolicy(t, KVThreadScheduler, webTestSpec(), load)
 	if res.Completed+res.Dropped+res.InFlight != res.Requests {

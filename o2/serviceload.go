@@ -2,12 +2,11 @@ package o2
 
 // The WebService open-loop driver: a seeded arrival process feeds a
 // bounded request queue drained by worker threads, with every request's
-// enqueue→done latency recorded into per-worker histograms. Two drive
-// modes share the queue and the schedule: the default polls the arrival
-// schedule with timed worker sleeps (one pre-scheduled event per
-// arrival), and DirectHandoff parks idle workers on a FIFO wait list
-// with a single chained arrival event waking them — the constant-space
-// form a million-request soak run needs.
+// enqueue→done latency recorded into per-worker histograms. Idle workers
+// park on a FIFO wait list; arrivals form one chain of engine events,
+// each enqueueing its request, waking one parked worker and scheduling
+// the next, so the engine holds one pending arrival whatever the request
+// count — the constant-space form a million-request soak run needs.
 //
 // Determinism contract (pinned by the o2bench web golden test): one run is
 // a pure function of (topology, options, WebSpec, ServiceLoad, seed).
@@ -103,13 +102,6 @@ type ServiceLoad struct {
 	// be reused after a truncated run: Run stops the threads the limit
 	// cut off, and using the runtime again panics.
 	TimeLimit Cycles
-	// DirectHandoff selects the parked-worker drive: idle workers block
-	// on a FIFO wait list and each arrival wakes one, instead of workers
-	// polling the arrival schedule with timed sleeps. Arrival events are
-	// chained — each arrival schedules the next — so the engine holds one
-	// pending arrival instead of all Requests of them, which is what
-	// makes million-request soak runs cheap.
-	DirectHandoff bool
 	// Seed seeds the load's RNG streams; 0 derives one from the runtime
 	// seed.
 	Seed uint64
@@ -219,7 +211,7 @@ type svcState struct {
 	arrived  int
 	dropped  int
 	served   int
-	idle     sched.WaitList // parked workers (DirectHandoff only)
+	idle     sched.WaitList // parked idle workers
 
 	// Registry counters mirroring the ints above; nil-safe to Add on, so
 	// a driver built outside a service (tests) pays nothing.
@@ -233,9 +225,9 @@ type svcState struct {
 func (st *svcState) finished() bool { return st.served+st.dropped == len(st.arrivals) }
 
 // enqueueNext admits the next scheduled request or drops it when the
-// queue is full. It is the single arrival callback: the request's index
-// is the arrival cursor itself, which is what lets every arrival event
-// share one closure instead of capturing its index in a per-request one.
+// queue is full. The request's index is the arrival cursor itself:
+// arrivals fire in schedule order, so the one chained arrival callback
+// needs no per-request state.
 func (st *svcState) enqueueNext() {
 	i := st.arrived
 	st.arrived++
@@ -378,37 +370,23 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 	st := &svcState{arrivals: arrivals, ring: make([]int32, load.QueueCap),
 		arrivedC: s.arrivedC, droppedC: s.droppedC, servedC: s.servedC}
 	s.state = st
-	if load.DirectHandoff {
-		// Chained arrivals: each arrival enqueues, wakes one parked
-		// worker, and schedules the next arrival, so the engine carries a
-		// single pending arrival event instead of all Requests of them.
-		// The final arrival wakes every parked worker so they can observe
-		// that the schedule is exhausted and exit.
-		var arrive func()
-		arrive = func() {
-			st.enqueueNext()
-			st.idle.WakeOne()
-			if st.arrived < len(st.arrivals) {
-				rt.At(st.arrivals[st.arrived], arrive)
-			} else {
-				st.idle.WakeAll()
-			}
+	// Chained arrivals: each arrival enqueues, wakes one parked worker,
+	// and schedules the next arrival, so the engine carries a single
+	// pending arrival event instead of all Requests of them. The final
+	// arrival wakes every parked worker so they can observe that the
+	// schedule is exhausted and exit.
+	var arrive func()
+	arrive = func() {
+		st.enqueueNext()
+		st.idle.WakeOne()
+		if st.arrived < len(st.arrivals) {
+			rt.At(st.arrivals[st.arrived], arrive)
+		} else {
+			st.idle.WakeAll()
 		}
-		if len(arrivals) > 0 {
-			rt.At(arrivals[0], arrive)
-		}
-	} else {
-		// Arrival events are scheduled before any thread spawns, so at
-		// equal timestamps the engine fires the enqueue before it wakes a
-		// worker sleeping toward that arrival (events tie-break in
-		// schedule order): a woken worker always observes the request
-		// already queued. One shared callback serves every arrival — the
-		// request index is the arrival cursor (arrivals fire in schedule
-		// order), so nothing needs capturing per request.
-		arrive := st.enqueueNext
-		for _, at := range arrivals {
-			rt.At(at, arrive)
-		}
+	}
+	if len(arrivals) > 0 {
+		rt.At(arrivals[0], arrive)
 	}
 
 	before := rt.mach.Counters().Total()
@@ -424,13 +402,9 @@ func (s *WebService) Run(load ServiceLoad) (ServiceResult, error) {
 					if st.arrived == len(st.arrivals) {
 						return // queue drained and no arrivals left
 					}
-					if load.DirectHandoff {
-						// Park until an arrival hands a request over (or
-						// the final arrival wakes everyone to exit).
-						st.idle.Wait(t.t)
-					} else {
-						t.IdleUntil(st.arrivals[st.arrived])
-					}
+					// Park until an arrival hands a request over (or the
+					// final arrival wakes everyone to exit).
+					st.idle.Wait(t.t)
 					continue
 				}
 				s.Resolve(t, int(reqRoot[i]), int(reqFile[i]))

@@ -126,9 +126,9 @@ func QuickWebConfig() WebConfig {
 }
 
 // SoakWebConfig returns the endurance configuration behind `o2bench
-// soak`: one million requests per cell through the direct-handoff drive
-// (parked workers, one chained arrival event) against the AMD16 machine,
-// baseline vs CoreTime. The point is engine throughput at scale — the
+// soak`: one million requests per cell against the AMD16 machine,
+// baseline vs CoreTime, through WebService's one drive (parked workers,
+// one chained arrival event). The point is engine throughput at scale — the
 // run must finish in seconds, in constant queue space, with exact
 // accounting across a million requests — rather than a new comparison
 // axis.
@@ -136,7 +136,6 @@ func SoakWebConfig() WebConfig {
 	cfg := DefaultWebConfig()
 	cfg.Spec = WebSpec{DocRoots: 64, FilesPerRoot: 256}
 	cfg.Load.Requests = 1_000_000
-	cfg.Load.DirectHandoff = true
 	cfg.Rates = []float64{600_000}
 	cfg.CompactionShares = []float64{0}
 	cfg.Policies = []KVPolicy{KVThreadScheduler, KVCoreTime}

@@ -23,7 +23,7 @@ func quickTelemetryCell(t *testing.T, opts ...Option) (*Runtime, ServiceResult) 
 		t.Fatal(err)
 	}
 	res, err := svc.Run(ServiceLoad{
-		Requests: 800, RPS: 2_000_000, Skew: 0.99, DirectHandoff: true,
+		Requests: 800, RPS: 2_000_000, Skew: 0.99,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestTelemetryDoesNotChangeResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := svc.Run(ServiceLoad{
-			Requests: 800, RPS: 2_000_000, Skew: 0.99, DirectHandoff: true,
+			Requests: 800, RPS: 2_000_000, Skew: 0.99,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -247,7 +247,7 @@ func TestTelemetryArenaReset(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := svc.Run(ServiceLoad{
-			Requests: 800, RPS: 2_000_000, Skew: 0.99, DirectHandoff: true,
+			Requests: 800, RPS: 2_000_000, Skew: 0.99,
 		}); err != nil {
 			t.Fatal(err)
 		}

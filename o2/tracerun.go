@@ -38,10 +38,9 @@ func DefaultTraceConfig() TraceConfig {
 			// (~6.9M achieved rps), so the memory system runs flat out
 			// and the socket queue counters show the most queueing the
 			// one-miss-in-flight substrate can produce.
-			Requests:      120_000,
-			RPS:           8_000_000,
-			Skew:          0.99,
-			DirectHandoff: true,
+			Requests: 120_000,
+			RPS:      8_000_000,
+			Skew:     0.99,
 		},
 		// ~770 windows over the ~30.7M-cycle run: comfortably inside the
 		// sampler's 1024-row ring (30k cycles lands at exactly 1024
@@ -61,10 +60,9 @@ func QuickTraceConfig() TraceConfig {
 		Scheduler: CoreTime,
 		Spec:      WebSpec{DocRoots: 24, FilesPerRoot: 128},
 		Load: ServiceLoad{
-			Requests:      2000,
-			RPS:           4_000_000,
-			Skew:          0.99,
-			DirectHandoff: true,
+			Requests: 2000,
+			RPS:      4_000_000,
+			Skew:     0.99,
 		},
 		Interval: 20_000,
 		Seed:     1,
